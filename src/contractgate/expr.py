@@ -11,6 +11,7 @@ raising.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Iterator, Optional
@@ -567,18 +568,11 @@ def _eval(e: Expression, env: Environment, antecedent: bool) -> TriBool:
         return tri_implies(_eval(e.left, env, antecedent=True), _eval(e.right, env, antecedent))
     if isinstance(e, Compare):
         return _eval_compare(e, env, antecedent)
-    if isinstance(e, SizeOf):
-        return _truth_of(integer(_size(env.lookup(e.path, antecedent))))
     if isinstance(e, IsInvalid):
         v = env.lookup(e.path, antecedent)
         return from_bool(v.kind in (Kind.ABSENT, Kind.INVALID))
-    if isinstance(e, PathRef):
-        return _truth_of(env.lookup(e.path, antecedent))
-    if isinstance(e, Literal):
-        return _truth_of(_literal_value(e))
-    if isinstance(e, ClockTime):
-        return UNKNOWN  # a bare clock reference has no truth value
-    raise TypeError(f"unknown expression node {e!r}")
+    # paths and literals read as booleans; sizes and clockTime are Unknown
+    return _truth_of(_operand_value(e, env, antecedent))
 
 
 def _truth_of(v: Value) -> TriBool:
@@ -721,21 +715,22 @@ def conjuncts(e: Expression) -> list[Expression]:
 
 
 def conjoin(parts: list[Expression]) -> Expression:
-    if not parts:
-        return LIT_TRUE
-    result = parts[0]
-    for part in parts[1:]:
-        result = And(result, part)
-    return result
+    return functools.reduce(And, parts) if parts else LIT_TRUE
 
 
 def disjoin(parts: list[Expression]) -> Expression:
-    if not parts:
-        return LIT_FALSE
-    result = parts[0]
-    for part in parts[1:]:
-        result = Or(result, part)
-    return result
+    return functools.reduce(Or, parts) if parts else LIT_FALSE
+
+
+def transform(e: Expression, fn: Callable[[Expression], Expression]) -> Expression:
+    """Rebuild ``e`` bottom-up: the operands of And/Or/Implies/Not are
+    transformed first, then ``fn`` is applied to the rebuilt node.  Leaves
+    and comparisons are passed to ``fn`` whole."""
+    if isinstance(e, (And, Or, Implies)):
+        e = type(e)(transform(e.left, fn), transform(e.right, fn))
+    elif isinstance(e, Not):
+        e = Not(transform(e.operand, fn))
+    return fn(e)
 
 
 def _is_lit_true(e: Expression) -> bool:
@@ -745,91 +740,13 @@ def _is_lit_true(e: Expression) -> bool:
 def elide_true(e: Expression) -> Expression:
     """Drop Literal-True operands of conjunctions; the only simplification
     applied to derived contracts."""
-    if isinstance(e, And):
-        left = elide_true(e.left)
-        right = elide_true(e.right)
-        if _is_lit_true(left):
-            return right
-        if _is_lit_true(right):
-            return left
-        return And(left, right)
-    if isinstance(e, Or):
-        return Or(elide_true(e.left), elide_true(e.right))
-    if isinstance(e, Implies):
-        return Implies(elide_true(e.left), elide_true(e.right))
-    if isinstance(e, Not):
-        return Not(elide_true(e.operand))
-    return e
 
+    def drop(node: Expression) -> Expression:
+        if isinstance(node, And):
+            if _is_lit_true(node.left):
+                return node.right
+            if _is_lit_true(node.right):
+                return node.left
+        return node
 
-# ---------------------------------------------------------------------------
-# Atom abstraction and exhaustive K3 comparison
-
-
-def abstract_atoms(e: Expression, atoms: dict[str, Path]) -> Expression:
-    """Replace every atomic subformula with a bare monitor-variable reference,
-    keyed by its printed text.  ``atoms`` accumulates text -> placeholder path
-    across calls so two formulas share variables."""
-    if isinstance(e, And):
-        return And(abstract_atoms(e.left, atoms), abstract_atoms(e.right, atoms))
-    if isinstance(e, Or):
-        return Or(abstract_atoms(e.left, atoms), abstract_atoms(e.right, atoms))
-    if isinstance(e, Implies):
-        return Implies(abstract_atoms(e.left, atoms), abstract_atoms(e.right, atoms))
-    if isinstance(e, Not):
-        return Not(abstract_atoms(e.operand, atoms))
-    if isinstance(e, Literal) and isinstance(e.value, bool):
-        return e
-    key = to_text(e)
-    if key not in atoms:
-        atoms[key] = Path(Namespace.SELF, (f"atom_{len(atoms)}",))
-    return PathRef(atoms[key])
-
-
-_TRI_VALUES = (TRUE, FALSE, UNKNOWN)
-
-
-def _compile_abstracted(e: Expression, index: dict[Path, int]) -> Callable:
-    """Compile an abstracted formula into a closure over the assignment
-    tuple, so exhaustive enumeration stays fast."""
-    if isinstance(e, And):
-        l = _compile_abstracted(e.left, index)
-        r = _compile_abstracted(e.right, index)
-        return lambda v: tri_and(l(v), r(v))
-    if isinstance(e, Or):
-        l = _compile_abstracted(e.left, index)
-        r = _compile_abstracted(e.right, index)
-        return lambda v: tri_or(l(v), r(v))
-    if isinstance(e, Implies):
-        l = _compile_abstracted(e.left, index)
-        r = _compile_abstracted(e.right, index)
-        return lambda v: tri_implies(l(v), r(v))
-    if isinstance(e, Not):
-        o = _compile_abstracted(e.operand, index)
-        return lambda v: tri_not(o(v))
-    if isinstance(e, PathRef):
-        i = index[e.path]
-        return lambda v: v[i]
-    if isinstance(e, Literal) and isinstance(e.value, bool):
-        const = from_bool(e.value)
-        return lambda v: const
-    raise TypeError(f"not an abstracted formula node: {e!r}")
-
-
-def k3_equivalent(a: Expression, b: Expression, max_atoms: int = 12) -> bool:
-    """Exhaustively check that two formulas agree under every assignment of
-    their atoms (by printed text) to {True, False, Unknown}."""
-    atoms: dict[str, Path] = {}
-    aa = abstract_atoms(a, atoms)
-    bb = abstract_atoms(b, atoms)
-    index = {p: i for i, p in enumerate(atoms.values())}
-    if len(index) > max_atoms:
-        raise ValueError(f"too many atoms for exhaustive comparison: {len(index)}")
-    fa = _compile_abstracted(aa, index)
-    fb = _compile_abstracted(bb, index)
-    import itertools
-
-    for combo in itertools.product(_TRI_VALUES, repeat=len(index)):
-        if fa(combo) is not fb(combo):
-            return False
-    return True
+    return transform(e, drop)

@@ -9,7 +9,7 @@ import logging
 import os
 import queue
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
@@ -71,21 +71,17 @@ class GatewayConfig:
 def flip_clock_comparisons(e: E.Expression) -> E.Expression:
     """Swap the operands of ordering comparisons that involve the clock,
     selecting the alternative reading of token-freshness invariants."""
-    if isinstance(e, E.And):
-        return E.And(flip_clock_comparisons(e.left), flip_clock_comparisons(e.right))
-    if isinstance(e, E.Or):
-        return E.Or(flip_clock_comparisons(e.left), flip_clock_comparisons(e.right))
-    if isinstance(e, E.Implies):
-        return E.Implies(flip_clock_comparisons(e.left), flip_clock_comparisons(e.right))
-    if isinstance(e, E.Not):
-        return E.Not(flip_clock_comparisons(e.operand))
-    if isinstance(e, E.Compare) and e.op in ("<", "<=", ">", ">="):
-        sides = (e.left, e.right)
-        if any(isinstance(s, E.ClockTime) for s in sides) and not all(
-            isinstance(s, E.ClockTime) for s in sides
+
+    def flip(node: E.Expression) -> E.Expression:
+        if (
+            isinstance(node, E.Compare)
+            and node.op in ("<", "<=", ">", ">=")
+            and isinstance(node.left, E.ClockTime) != isinstance(node.right, E.ClockTime)
         ):
-            return E.Compare(e.op, e.right, e.left)
-    return e
+            return E.Compare(node.op, node.right, node.left)
+        return node
+
+    return E.transform(e, flip)
 
 
 class ViolationLog:
@@ -161,24 +157,18 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
         raise ValueError("invalid model: " + "; ".join(diagnostics))
 
     if cfg.expires_reading == "paper":
-        bm = type(bm)(
-            states=tuple(
-                type(s)(s.name, flip_clock_comparisons(s.invariant)) for s in bm.states
-            ),
+        flip = flip_clock_comparisons
+        bm = replace(
+            bm,
+            states=tuple(replace(s, invariant=flip(s.invariant)) for s in bm.states),
             transitions=tuple(
-                type(t)(
-                    t.id,
-                    t.source,
-                    t.target,
-                    t.http_method,
-                    t.uri_template,
-                    flip_clock_comparisons(t.guard) if t.guard else None,
-                    flip_clock_comparisons(t.effect) if t.effect else None,
-                    t.actor_role,
+                replace(
+                    t,
+                    guard=flip(t.guard) if t.guard else None,
+                    effect=flip(t.effect) if t.effect else None,
                 )
                 for t in bm.transitions
             ),
-            initial=bm.initial,
         )
 
     routes = derive_routes(rm, bm)

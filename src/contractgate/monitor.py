@@ -99,7 +99,8 @@ class HttpUpstream:
             resp = conn.getresponse()
             payload = resp.read()
             return UpstreamResponse(resp.status, list(resp.getheaders()), payload)
-        except OSError as exc:
+        except (OSError, http.client.HTTPException) as exc:
+            # a malformed reply is as unusable as no reply (fail-closed)
             raise UpstreamError(str(exc)) from exc
         finally:
             conn.close()
@@ -170,6 +171,9 @@ class Verdict:
     def passed(self) -> bool:
         return self.outcome == "pass"
 
+    def failed_json(self) -> list[dict]:
+        return [{"expr": text, "value": value.value} for text, value in self.failed_atoms]
+
 
 @dataclass
 class ViolationRecord:
@@ -191,10 +195,7 @@ class ViolationRecord:
             "method": self.method,
             "uri": self.uri,
             "contract": self.verdict.contract_id,
-            "failed": [
-                {"expr": text, "value": value.value}
-                for text, value in self.verdict.failed_atoms
-            ],
+            "failed": self.verdict.failed_json(),
             "requester": self.requester,
             "upstream_status": self.upstream_status,
             "latency_ms": round(self.verdict.total_ms, 3),
@@ -287,8 +288,6 @@ def json_to_value(node: object, attr_type: Optional[str] = None) -> E.Value:
     if isinstance(node, int):
         return E.integer(node)
     if isinstance(node, str):
-        if attr_type == "string" or attr_type is None:
-            return E.text(node)
         return E.text(node)
     if isinstance(node, float):
         return E.text(str(node))
@@ -611,8 +610,7 @@ class Monitor:
         ctx.path_params = params
         if ctx.method not in entry.allowed_methods:
             allow = ", ".join(sorted(entry.allowed_methods))
-            result = _error(405, "method not allowed", [("Allow", allow)])
-            return result
+            return _error(405, "method not allowed", [("Allow", allow)])
 
         if ctx.method == "GET":
             return self._forward_get(ctx, raw_body)
@@ -638,81 +636,47 @@ class Monitor:
                 failed_atoms=failed,
                 contract_id=contract.id,
                 probe_ms=probes.elapsed_ms,
-                total_ms=(time.monotonic() - started) * 1000.0,
+                total_ms=_ms_since(started),
             )
-            record = ViolationRecord(
-                timestamp=datetime.now(timezone.utc),
-                verdict=verdict,
-                method=ctx.method,
-                uri=ctx.uri,
-                requester=resolver.requester_name(),
-            )
-            return self._violation_response(verdict, record, ctx)
+            return self._violation(ctx, resolver, verdict)
 
         upstream_started = time.monotonic()
         try:
             response = self.upstream.request(
-                ctx.method,
-                ctx.uri,
-                list(_forwardable(ctx.headers)),
-                raw_body,
+                ctx.method, ctx.uri, list(ctx.headers.items()), raw_body
             )
         except UpstreamError:
+            response = None
+        finally:
             self.variables.release(ctx.uri)
+        upstream_ms = _ms_since(upstream_started)
+        if response is None:
             verdict = Verdict(
                 outcome="post_violation",
                 failed_atoms=[("upstream reachable", E.UNKNOWN)],
                 contract_id=contract.id,
                 probe_ms=probes.elapsed_ms,
-                upstream_ms=(time.monotonic() - upstream_started) * 1000.0,
-                total_ms=(time.monotonic() - started) * 1000.0,
+                upstream_ms=upstream_ms,
+                total_ms=_ms_since(started),
             )
-            record = ViolationRecord(
-                timestamp=datetime.now(timezone.utc),
-                verdict=verdict,
-                method=ctx.method,
-                uri=ctx.uri,
-                requester=resolver.requester_name(),
-            )
-            return MonitorResult(
-                status=504,
-                headers=[("Content-Type", "application/json")],
-                body=_violation_body(verdict, ctx),
-                verdict=verdict,
-                violation=record,
-            )
-        upstream_ms = (time.monotonic() - upstream_started) * 1000.0
-        self.variables.release(ctx.uri)
+            return self._violation(ctx, resolver, verdict, status=504)
 
         post_probes = _ProbeCache(self.upstream, self.probe_timeout_s)
         post_env = self.resolve_post_env(ctx, contract, response, snapshot, post_probes)
         post_failed = self.check_postcondition(contract, post_env)
-        total_ms = (time.monotonic() - started) * 1000.0
         verdict = Verdict(
             outcome="post_violation" if post_failed else "pass",
             failed_atoms=post_failed,
             contract_id=contract.id,
             probe_ms=probes.elapsed_ms + post_probes.elapsed_ms,
             upstream_ms=upstream_ms,
-            total_ms=total_ms,
+            total_ms=_ms_since(started),
         )
         if post_failed:
-            record = ViolationRecord(
-                timestamp=datetime.now(timezone.utc),
-                verdict=verdict,
-                method=ctx.method,
-                uri=ctx.uri,
-                requester=resolver.requester_name(),
-                upstream_status=response.status,
+            return self._violation(
+                ctx, resolver, verdict, upstream_status=response.status
             )
-            return self._violation_response(verdict, record, ctx)
-
-        return MonitorResult(
-            status=response.status,
-            headers=_strip_hop_by_hop(response.headers),
-            body=response.body,
-            verdict=verdict,
-        )
+        return _relay(response, verdict)
 
     def _forward_get(self, ctx: RequestContext, raw_body: bytes) -> MonitorResult:
         violation = None
@@ -720,17 +684,11 @@ class Monitor:
             violation = self._audit(ctx)
         try:
             response = self.upstream.request(
-                ctx.method, ctx.uri, list(_forwardable(ctx.headers)), raw_body
+                ctx.method, ctx.uri, list(ctx.headers.items()), raw_body
             )
         except UpstreamError:
             return _error(504, "upstream unreachable")
-        return MonitorResult(
-            status=response.status,
-            headers=_strip_hop_by_hop(response.headers),
-            body=response.body,
-            verdict=Verdict(outcome="pass"),
-            violation=violation,
-        )
+        return _relay(response, Verdict(outcome="pass"), violation)
 
     def _audit(self, ctx: RequestContext) -> Optional[ViolationRecord]:
         """Optional mode: on GET, check that at least one state invariant
@@ -745,7 +703,7 @@ class Monitor:
             return None
         verdict = Verdict(
             outcome="audit_violation",
-            failed_atoms=[(name, value) for name, value in results],
+            failed_atoms=results,
             contract_id="state-audit",
             probe_ms=probes.elapsed_ms,
         )
@@ -756,34 +714,44 @@ class Monitor:
             uri=ctx.uri,
         )
 
-    def _violation_response(
-        self, verdict: Verdict, record: ViolationRecord, ctx: RequestContext
+    def _violation(
+        self,
+        ctx: RequestContext,
+        resolver: Resolver,
+        verdict: Verdict,
+        status: Optional[int] = None,
+        upstream_status: Optional[int] = None,
     ) -> MonitorResult:
-        if self.paper_status:
-            status = 404
-        else:
-            status = 412 if verdict.outcome == "pre_violation" else 502
+        """Refuse the request with a JSON body naming the failed conjuncts,
+        and the record for the violation log.  Without an explicit
+        ``status``, pre violations are 412 and post violations 502 (404 for
+        both under ``paper_status``)."""
+        if status is None:
+            if self.paper_status:
+                status = 404
+            else:
+                status = 412 if verdict.outcome == "pre_violation" else 502
+        record = ViolationRecord(
+            timestamp=datetime.now(timezone.utc),
+            verdict=verdict,
+            method=ctx.method,
+            uri=ctx.uri,
+            requester=resolver.requester_name(),
+            upstream_status=upstream_status,
+        )
+        doc = {
+            "phase": "pre" if verdict.outcome == "pre_violation" else "post",
+            "contract": verdict.contract_id,
+            "failed": verdict.failed_json(),
+            "request": {"method": ctx.method, "uri": ctx.uri},
+        }
         return MonitorResult(
             status=status,
             headers=[("Content-Type", "application/json")],
-            body=_violation_body(verdict, ctx),
+            body=json.dumps(doc, sort_keys=True).encode("utf-8"),
             verdict=verdict,
             violation=record,
         )
-
-
-def _violation_body(verdict: Verdict, ctx: RequestContext) -> bytes:
-    phase = "pre" if verdict.outcome == "pre_violation" else "post"
-    doc = {
-        "phase": phase,
-        "contract": verdict.contract_id,
-        "failed": [
-            {"expr": text, "value": value.value}
-            for text, value in verdict.failed_atoms
-        ],
-        "request": {"method": ctx.method, "uri": ctx.uri},
-    }
-    return json.dumps(doc, sort_keys=True).encode("utf-8")
 
 
 def _error(
@@ -797,12 +765,15 @@ def _error(
     )
 
 
-def _forwardable(headers: dict[str, str]):
-    for name, value in headers.items():
-        if name.lower() in HOP_BY_HOP or name.lower() == "host":
-            continue
-        yield (name, value)
+def _ms_since(started: float) -> float:
+    return (time.monotonic() - started) * 1000.0
 
 
-def _strip_hop_by_hop(headers: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    return [(k, v) for k, v in headers if k.lower() not in HOP_BY_HOP]
+def _relay(
+    response: UpstreamResponse,
+    verdict: Verdict,
+    violation: Optional[ViolationRecord] = None,
+) -> MonitorResult:
+    """Pass the upstream reply through, minus its hop-by-hop headers."""
+    headers = [(k, v) for k, v in response.headers if k.lower() not in HOP_BY_HOP]
+    return MonitorResult(response.status, headers, response.body, verdict, violation)

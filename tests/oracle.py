@@ -1,10 +1,15 @@
 """Independent oracles and generators used by the unit and acceptance tests.
 
+``k3_equivalent`` decides whether two contract formulas agree under every
+three-valued assignment of their atoms; it compiles each formula to closures
+because the POST-token postcondition has 11 atoms (3^11 assignments).
+
 The K3 oracle is a deliberately naive re-implementation of Kleene's
 three-valued tables (encoded as dict lookups over {'T','F','U'}) so that it
 shares no code with the package's evaluator.
 """
 
+import itertools
 import random
 import string
 
@@ -43,6 +48,75 @@ def oracle_eval(e: E.Expression, assignment: dict) -> str:
     if isinstance(e, E.Literal) and isinstance(e.value, bool):
         return T if e.value else F
     raise AssertionError(f"non-atomic leaf in abstracted expression: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# Atom abstraction and exhaustive K3 comparison
+
+
+def abstract_atoms(e: E.Expression, atoms: dict[str, E.Path]) -> E.Expression:
+    """Replace every atomic subformula with a bare monitor-variable reference,
+    keyed by its printed text.  ``atoms`` accumulates text -> placeholder path
+    across calls so two formulas share variables."""
+
+    def abstract(node: E.Expression) -> E.Expression:
+        if isinstance(node, (E.And, E.Or, E.Implies, E.Not)):
+            return node
+        if isinstance(node, E.Literal) and isinstance(node.value, bool):
+            return node
+        key = E.to_text(node)
+        if key not in atoms:
+            atoms[key] = E.Path(E.Namespace.SELF, (f"atom_{len(atoms)}",))
+        return E.PathRef(atoms[key])
+
+    return E.transform(e, abstract)
+
+
+_TRI_VALUES = (E.TRUE, E.FALSE, E.UNKNOWN)
+
+
+def _compile_abstracted(e: E.Expression, index: dict[E.Path, int]):
+    """Compile an abstracted formula into a closure over the assignment
+    tuple, so exhaustive enumeration stays fast."""
+    if isinstance(e, E.And):
+        l = _compile_abstracted(e.left, index)
+        r = _compile_abstracted(e.right, index)
+        return lambda v: E.tri_and(l(v), r(v))
+    if isinstance(e, E.Or):
+        l = _compile_abstracted(e.left, index)
+        r = _compile_abstracted(e.right, index)
+        return lambda v: E.tri_or(l(v), r(v))
+    if isinstance(e, E.Implies):
+        l = _compile_abstracted(e.left, index)
+        r = _compile_abstracted(e.right, index)
+        return lambda v: E.tri_implies(l(v), r(v))
+    if isinstance(e, E.Not):
+        o = _compile_abstracted(e.operand, index)
+        return lambda v: E.tri_not(o(v))
+    if isinstance(e, E.PathRef):
+        i = index[e.path]
+        return lambda v: v[i]
+    if isinstance(e, E.Literal) and isinstance(e.value, bool):
+        const = E.from_bool(e.value)
+        return lambda v: const
+    raise TypeError(f"not an abstracted formula node: {e!r}")
+
+
+def k3_equivalent(a: E.Expression, b: E.Expression, max_atoms: int = 12) -> bool:
+    """Exhaustively check that two formulas agree under every assignment of
+    their atoms (by printed text) to {True, False, Unknown}."""
+    atoms: dict[str, E.Path] = {}
+    aa = abstract_atoms(a, atoms)
+    bb = abstract_atoms(b, atoms)
+    index = {p: i for i, p in enumerate(atoms.values())}
+    if len(index) > max_atoms:
+        raise ValueError(f"too many atoms for exhaustive comparison: {len(index)}")
+    fa = _compile_abstracted(aa, index)
+    fb = _compile_abstracted(bb, index)
+    for combo in itertools.product(_TRI_VALUES, repeat=len(index)):
+        if fa(combo) is not fb(combo):
+            return False
+    return True
 
 
 _TRI_VALUE = {

@@ -30,9 +30,11 @@ from oracle import (
     T,
     F,
     U,
+    abstract_atoms,
     environment_for,
     gen_boolean_expr,
     gen_expression_text,
+    k3_equivalent,
     oracle_eval,
 )
 
@@ -67,7 +69,7 @@ def test_1_contract_derivation_golden(fixture_contracts):
         for (method, uri, phase), transcription in GOLDEN.items():
             contract = fixture_contracts[(method, uri)]
             derived = contract.pre if phase == "pre" else contract.post
-            assert E.k3_equivalent(derived, E.parse_expression(transcription)), (
+            assert k3_equivalent(derived, E.parse_expression(transcription)), (
                 f"{method} {uri} {phase} not equivalent to transcription"
             )
         post_text = E.to_text(fixture_contracts[("POST", "/v3/auth/tokens")].post)
@@ -224,7 +226,7 @@ def test_5_evaluator_oracle(fixture_contracts):
         # reference expressions with atoms abstracted: seeded sampling
         for (method, uri, phase), transcription in GOLDEN.items():
             atom_map: dict[str, E.Path] = {}
-            abstracted = E.abstract_atoms(
+            abstracted = abstract_atoms(
                 E.parse_expression(transcription), atom_map
             )
             paths = list(atom_map.values())

@@ -14,6 +14,7 @@ from oracle import (
     environment_for,
     gen_boolean_expr,
     gen_expression_text,
+    k3_equivalent,
     oracle_eval,
 )
 
@@ -323,25 +324,73 @@ class TestHelpers:
     def test_k3_equivalence_de_morgan(self):
         a = E.parse_expression("not (self.a and self.b)")
         b = E.parse_expression("not self.a or not self.b")
-        assert E.k3_equivalent(a, b)
+        assert k3_equivalent(a, b)
 
     def test_k3_equivalence_commutativity(self):
-        assert E.k3_equivalent(
+        assert k3_equivalent(
             E.parse_expression("self.a or self.b"),
             E.parse_expression("self.b or self.a"),
         )
 
     def test_k3_inequivalence(self):
-        assert not E.k3_equivalent(
+        assert not k3_equivalent(
             E.parse_expression("self.a"), E.parse_expression("not self.a")
         )
 
     def test_excluded_middle_fails_in_k3(self):
         # `a or not a` is Unknown when a is Unknown, so it is not
         # equivalent to True — the fail-closed semantics depend on this.
-        assert not E.k3_equivalent(
+        assert not k3_equivalent(
             E.parse_expression("self.a or not self.a"), E.Literal(True)
         )
+
+
+def _generated_trees(seed: int, n: int = 150):
+    """Random trees: boolean structure over atoms, and parsed texts that
+    span the full grammar (literals, comparisons, clockTime)."""
+    rng = random.Random(seed)
+    atoms = [E.make_path(["self", f"a{i}"]) for i in range(4)]
+    for _ in range(n):
+        yield gen_boolean_expr(rng, atoms)
+        yield E.parse_expression(gen_expression_text(rng))
+
+
+def _subterms(e: E.Expression):
+    yield e
+    for name in ("left", "right", "operand"):
+        child = getattr(e, name, None)
+        if isinstance(child, E.Expression):
+            yield from _subterms(child)
+
+
+class TestTransform:
+    def test_identity_function_rebuilds_an_equal_tree(self):
+        for e in _generated_trees(31):
+            assert E.transform(e, lambda n: n) == e
+
+    def test_fn_runs_bottom_up_on_rebuilt_operands(self):
+        e = E.parse_expression("a.x=1 and not (b.y or c.z)")
+        seen = []
+
+        def record(node):
+            seen.append(E.to_text(node))
+            return E.Or(node.left, node.right) if isinstance(node, E.And) else node
+
+        assert E.to_text(E.transform(e, record)) == "a.x=1 or not (b.y or c.z)"
+        assert seen == ["a.x=1", "b.y", "c.z", "b.y or c.z", "not (b.y or c.z)",
+                        "a.x=1 and not (b.y or c.z)"]
+
+    def test_elide_true_leaves_no_literal_true_conjunct(self):
+        for e in _generated_trees(32):
+            for node in _subterms(E.elide_true(e)):
+                if isinstance(node, E.And):
+                    for operand in (node.left, node.right):
+                        assert not (isinstance(operand, E.Literal)
+                                    and operand.value is True)
+
+    def test_elide_true_preserves_meaning(self):
+        for e in _generated_trees(33, n=60):
+            assert k3_equivalent(E.elide_true(e), e)
 
 
 class TestTimestamps:

@@ -3,6 +3,7 @@ alternate operating modes."""
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from contractgate.gateway import (
 )
 from contractgate.monitor import Verdict, ViolationRecord
 from conftest import password_body
+from oracle import gen_expression_text
 from datetime import datetime, timezone
 
 
@@ -64,6 +66,13 @@ class TestFlipClockComparisons:
             "a.x=1 and (clockTime < token.expires_at ==> not b.y=2)"
         )
         assert "token.expires_at<clockTime" in E.to_text(flip_clock_comparisons(e))
+
+
+    def test_flipping_twice_is_the_identity(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            e = E.parse_expression(gen_expression_text(rng))
+            assert flip_clock_comparisons(flip_clock_comparisons(e)) == e
 
 
 class TestAdminEndpoints:

@@ -207,6 +207,72 @@ class TestPipeline:
         )
 
 
+class TestMalformedUpstreamReply:
+    def test_garbage_reply_to_side_effect_is_504_and_releases_flag(self, harness):
+        """The upstream performs the delete but answers with bytes that are
+        not HTTP.  The gateway must refuse fail-closed and free the
+        resource's self.processing flag."""
+        mock_server = harness._servers[0]
+        handler = mock_server.RequestHandlerClass
+
+        class GarbageAfterDelete(handler):
+            def do_DELETE(self):
+                headers = {k.lower(): v for k, v in self.headers.items()}
+                self.service.handle(self.command, self.path, headers, b"")
+                self.wfile.write(b"NOT HTTP\r\n\r\n")
+                self.close_connection = True
+
+        token = harness.authenticate("admin", "secret")
+        uri = "/v3/users/u-alice"
+        mock_server.RequestHandlerClass = GarbageAfterDelete
+        try:
+            status, _, body = harness.call(
+                "DELETE", uri, headers={"X-Auth-Token": token}
+            )
+        finally:
+            mock_server.RequestHandlerClass = handler
+        assert status == 504
+        assert json.loads(body)["failed"] == [
+            {"expr": "upstream reachable", "value": "unknown"}
+        ]
+        # the user is gone and the flag is free: only user.id->size()=1 fails
+        status, _, body = harness.call("DELETE", uri, headers={"X-Auth-Token": token})
+        assert status == 412
+        assert json.loads(body)["failed"] == [
+            {"expr": "user.id->size()=1", "value": "false"}
+        ]
+
+
+class TestAuditGet:
+    def _audited_get(self, h, token):
+        ctx = RequestContext.build(
+            "GET", "/v3/users/u-alice", {"X-Auth-Token": token}, b""
+        )
+        return h.gateway.monitor.handle(ctx, b"")
+
+    def test_no_record_while_an_invariant_holds(self, harness_factory):
+        h = harness_factory(audit_get=True)
+        token = h.authenticate("admin", "secret")
+        # the model's Ready state (self.processing = False) holds
+        result = self._audited_get(h, token)
+        assert result.status == 200
+        assert result.violation is None
+
+    def test_record_when_no_invariant_holds(self, harness_factory):
+        h = harness_factory(audit_get=True)
+        token = h.authenticate("admin", "secret")
+        h.gateway.monitor.state_invariants = [
+            ("User_Deleted",
+             E.parse_expression("token.token->size()=1 and user.id->size()=0")),
+        ]
+        result = self._audited_get(h, token)
+        assert result.status == 200  # the audit reports, it never blocks
+        record = result.violation.to_json()
+        assert record["contract"] == "state-audit"
+        assert record["method"] == "GET"
+        assert record["failed"] == [{"expr": "User_Deleted", "value": "false"}]
+
+
 class TestDoubleCheck:
     def test_post_check_catches_forged_precondition_environment(self, harness_factory):
         """Even with a pre-phase bypass (forged snapshot claiming the caller
