@@ -22,6 +22,7 @@ from .monitor import HttpUpstream, Monitor, RequestContext, ViolationRecord
 log = logging.getLogger(__name__)
 
 ENV_PREFIX = "CONTRACTGATE_"
+MAX_BODY_BYTES = 1 << 20  # longer request bodies are refused (413) unread
 
 
 @dataclass
@@ -198,6 +199,16 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 
     def _dispatch(self) -> None:
         gw = self.gateway
+        refusal = self._framing_refusal()
+        if refusal is not None:
+            status, message = refusal
+            self.close_connection = True
+            self._reply(
+                status,
+                [("Content-Type", "application/json"), ("Connection", "close")],
+                json.dumps({"error": message}).encode(),
+            )
+            return
         length = int(self.headers.get("Content-Length") or 0)
         raw_body = self.rfile.read(length) if length else b""
 
@@ -230,6 +241,19 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             gw.violation_log.record(result.violation)
         self._reply(result.status, result.headers, result.body)
 
+    def _framing_refusal(self) -> Optional[tuple[int, str]]:
+        """Status and message for a request body the gateway will not read.
+        The connection is then closed, so no unread body bytes can be taken
+        for a further request on it."""
+        if "Transfer-Encoding" in self.headers:
+            return 411, "Transfer-Encoding is not supported; send Content-Length"
+        lengths = self.headers.get_all("Content-Length") or []
+        if len(lengths) > 1 or any(not (v.isascii() and v.isdigit()) for v in lengths):
+            return 400, "malformed Content-Length"
+        if lengths and int(lengths[0]) > MAX_BODY_BYTES:
+            return 413, "request body too large"
+        return None
+
     def _reply(self, status: int, headers: list[tuple[str, str]], body: bytes) -> None:
         self.send_response_only(status)
         has_length = False
@@ -255,13 +279,3 @@ def make_server(gateway: Gateway) -> ThreadingHTTPServer:
     server = ThreadingHTTPServer((host or "127.0.0.1", int(port or 0)), handler)
     gateway.server = server
     return server
-
-
-def start(cfg: GatewayConfig) -> Gateway:
-    """Build and start serving in a background thread (used by tests and by
-    the CLI, which then blocks on the server thread)."""
-    gateway = build_gateway(cfg)
-    server = make_server(gateway)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return gateway

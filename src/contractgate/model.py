@@ -159,8 +159,9 @@ class RouteTable:
 
     def match(self, path: str) -> Optional[tuple[RouteEntry, dict[str, str]]]:
         """Match a concrete request path against the templates; returns the
-        entry and extracted path parameters."""
-        segments = [s for s in path.split("/") if s]
+        entry and extracted path parameters.  A query string is not part of
+        the path, and empty segments are ignored."""
+        segments = [s for s in path.split("?", 1)[0].split("/") if s]
         for entry in self.entries:
             template_segments = [s for s in entry.uri_template.split("/") if s]
             if len(template_segments) != len(segments):

@@ -20,7 +20,7 @@ from urllib.parse import urlsplit
 
 from . import expr as E
 from .contracts import Contract
-from .model import Binding, ResourceModel, RouteTable
+from .model import ResourceModel, RouteTable
 
 HOP_BY_HOP = {
     "connection",
@@ -89,11 +89,10 @@ class HttpUpstream:
         )
         header_map: dict[str, str] = {}
         for k, v in headers or []:
-            if k.lower() in HOP_BY_HOP or k.lower() == "host":
+            # http.client frames the body itself: exactly one Content-Length
+            if k.lower() in HOP_BY_HOP or k.lower() in ("host", "content-length"):
                 continue
             header_map[k] = v
-        if body:
-            header_map.setdefault("Content-Length", str(len(body)))
         try:
             conn.request(method, path, body=body or None, headers=header_map)
             resp = conn.getresponse()
@@ -114,7 +113,6 @@ class HttpUpstream:
 class RequestContext:
     method: str
     uri: str
-    path_params: dict[str, str] = field(default_factory=dict)
     headers: dict[str, str] = field(default_factory=dict)  # lowercase names
     body: object = None  # parsed request document; None when unparseable
     arrival_time: datetime = field(
@@ -199,6 +197,8 @@ class ViolationRecord:
             "requester": self.requester,
             "upstream_status": self.upstream_status,
             "latency_ms": round(self.verdict.total_ms, 3),
+            "probe_ms": round(self.verdict.probe_ms, 3),
+            "upstream_ms": round(self.verdict.upstream_ms, 3),
         }
 
 
@@ -298,61 +298,33 @@ def json_to_value(node: object, attr_type: Optional[str] = None) -> E.Value:
 # Environment resolution
 
 
-class _ProbeCache:
-    """One prober per request; GET-only, results cached per URI."""
-
-    def __init__(self, upstream: HttpUpstream, timeout_s: float):
-        self.upstream = upstream
-        self.timeout_s = timeout_s
-        self.cache: dict[tuple[str, Optional[str]], UpstreamResponse] = {}
-        self.elapsed_ms = 0.0
-        self.failed = False
-
-    def get(self, path: str, auth_token: Optional[str]) -> Optional[UpstreamResponse]:
-        key = (path, auth_token)
-        if key not in self.cache:
-            headers = [("X-Auth-Token", auth_token)] if auth_token else []
-            started = time.monotonic()
-            try:
-                self.cache[key] = self.upstream.request(
-                    "GET", path, headers, timeout_s=self.timeout_s
-                )
-            except UpstreamError:
-                self.failed = True
-                self.cache[key] = None
-            finally:
-                self.elapsed_ms += (time.monotonic() - started) * 1000.0
-        return self.cache[key]
-
-
 class Resolver:
-    """Maps paths to values for one request.  Resource attributes come from
-    GET probes against routes derived from the model, from explicit bind
-    hints (request payload or validated-token representation), or, in the
-    post phase, from the upstream response representation."""
+    """Maps paths to values for one request phase.  A resource attribute is
+    read from one source: the request payload or the validated-token
+    representation for a ``bind`` hint, the upstream response for the
+    addressed resource in the post phase, and otherwise a GET probe of the
+    addressed resource's canonical URI or of another resource's fixed route.
+    Probes are cached per URI for the phase."""
 
     def __init__(
         self,
-        rm: ResourceModel,
-        routes: RouteTable,
+        monitor: "Monitor",
         ctx: RequestContext,
-        probes: _ProbeCache,
-        variables: MonitorVariables,
-        phase: str = "pre",
-        upstream_response: Optional[UpstreamResponse] = None,
+        phase: str,
+        upstream_response: Optional[UpstreamResponse],
     ):
-        self.rm = rm
-        self.routes = routes
+        self.monitor = monitor
         self.ctx = ctx
-        self.probes = probes
-        self.variables = variables
         self.phase = phase
         self.upstream_response = upstream_response
-        matched = routes.match(ctx.uri)
+        self.probe_ms = 0.0
+        self._probes: dict[str, Optional[UpstreamResponse]] = {}
+        matched = monitor.routes.match(ctx.uri)
         self.route_entry = matched[0] if matched else None
-        self.bindings: dict[tuple[str, ...], Binding] = {
-            b.path.segments: b for b in rm.bindings
-        }
+        # the addressed resource's identity: one key for every alias of its URI
+        self.resource = (
+            matched[0].uri_template.format(**matched[1]) if matched else ctx.uri
+        )
 
     # -- entry point
 
@@ -380,7 +352,7 @@ class Resolver:
         if path.segments == ("processing",):
             if self.phase == "post":
                 return E.boolean(False)
-            return E.boolean(self.variables.processing(self.ctx.uri))
+            return E.boolean(self.monitor.variables.processing(self.resource))
         return E.ABSENT
 
     def _resolve_response(self, path: E.Path) -> E.Value:
@@ -392,103 +364,80 @@ class Resolver:
         return json_to_value(node)
 
     def _resolve_resource(self, path: E.Path) -> E.Value:
-        binding = self.bindings.get(path.segments)
-        if binding is not None:
-            return self._resolve_binding(binding)
-        definition = self.rm.definition(path.head)
+        definition = self.monitor.rm.definition(path.head)
         if definition is None:
             return E.INVALID
-        attr = definition.attribute(path.segments[1]) if len(path.segments) > 1 else None
-        attr_type = attr.type if attr else None
         attr_name = path.segments[1] if len(path.segments) > 1 else None
+        attr = definition.attribute(attr_name) if attr_name else None
+        attr_type = attr.type if attr else None
+        json_path = (attr_name,) if attr_name else None
 
-        if (
-            self.phase == "post"
-            and self.route_entry is not None
+        binding = next(
+            (b for b in self.monitor.rm.bindings if b.path.segments == path.segments),
+            None,
+        )
+        if binding is not None and binding.source == "request":
+            return json_to_value(json_walk(self.ctx.body, binding.json_path), attr_type)
+        if binding is not None:
+            # token-representation source: validate the caller's token upstream
+            uri, json_path = self._fixed_uri("token"), binding.json_path
+            if uri is None:
+                return E.INVALID
+        elif (
+            self.route_entry is not None
             and definition.name.lower() == self.route_entry.definition.lower()
         ):
-            value = self._from_upstream_response(definition.name, attr_name, attr_type)
-            if value is not None:
-                return value
+            resp = self.upstream_response
+            if self.phase == "post" and resp is not None and attr_name is not None:
+                subject = resp.header("X-Subject-Token")
+                if definition.name.lower() == "token" and attr_name == "token" and subject:
+                    return E.text(subject)
+                if resp.body:  # without a representation, re-probe
+                    doc = resp.json()
+                    if doc is None:
+                        return E.INVALID  # unparseable upstream body
+                    return json_to_value(json_search(doc, json_path), attr_type)
+            uri = self.resource
+        else:
+            uri = self._fixed_uri(definition.name)
+            if uri is None:
+                return E.ABSENT  # identity not determinable from the request
 
-        return self._probe_value(definition.name, attr_name, attr_type)
-
-    def _resolve_binding(self, binding: Binding) -> E.Value:
-        attr_type = None
-        definition = self.rm.definition(binding.path.head)
-        if definition and len(binding.path.segments) > 1:
-            attr = definition.attribute(binding.path.segments[1])
-            attr_type = attr.type if attr else None
-        if binding.source == "request":
-            node = json_walk(self.ctx.body, binding.json_path)
-            return json_to_value(node, attr_type)
-        # token-representation source: validate the caller's token upstream
-        resp = self._token_probe()
-        if resp is None:
-            return E.INVALID
-        if resp.status == 200:
-            return json_to_value(json_search(resp.json(), binding.json_path), attr_type)
-        if resp.status == 404:
+        reply = self.probe(uri)
+        if reply is None or reply.status not in (200, 404):
+            return E.INVALID  # transport failure or unexpected status (fail-closed)
+        if reply.status == 404:
             return E.ABSENT
-        return E.INVALID
+        if json_path is None:
+            return E.count(1)
+        return json_to_value(json_search(reply.json(), json_path), attr_type)
 
-    def _from_upstream_response(
-        self, definition: str, attr_name: Optional[str], attr_type: Optional[str]
-    ) -> Optional[E.Value]:
-        resp = self.upstream_response
-        if resp is None or attr_name is None:
-            return None
-        if definition.lower() == "token" and attr_name == "token":
-            subject = resp.header("X-Subject-Token")
-            if subject:
-                return E.text(subject)
-        if not resp.body:
-            return None  # no representation; fall back to a re-probe
-        doc = resp.json()
-        if doc is None:
-            return E.INVALID  # unparseable upstream body
-        node = json_search(doc, (attr_name,))
-        if node is None:
-            return E.ABSENT
-        return json_to_value(node, attr_type)
-
-    def _token_probe(self) -> Optional[UpstreamResponse]:
-        entry = self.routes.for_definition("token")
+    def _fixed_uri(self, definition: str) -> Optional[str]:
+        entry = self.monitor.routes.for_definition(definition)
         if entry is None or "{" in entry.uri_template:
             return None
-        return self.probes.get(entry.uri_template, self.ctx.auth_token())
+        return entry.uri_template
 
-    def _probe_value(
-        self, definition: str, attr_name: Optional[str], attr_type: Optional[str]
-    ) -> E.Value:
-        resp: Optional[UpstreamResponse] = None
-        if (
-            self.route_entry is not None
-            and definition.lower() == self.route_entry.definition.lower()
-        ):
-            resp = self.probes.get(self.ctx.uri, self.ctx.auth_token())
-        else:
-            entry = self.routes.for_definition(definition)
-            if entry is not None and "{" not in entry.uri_template:
-                resp = self.probes.get(entry.uri_template, self.ctx.auth_token())
-            else:
-                # identity not determinable from the request
-                return E.ABSENT
-        if resp is None:
-            return E.INVALID  # transport failure (fail-closed)
-        if resp.status == 404:
-            return E.ABSENT
-        if resp.status != 200:
-            return E.INVALID
-        if attr_name is None:
-            return E.count(1)
-        node = json_search(resp.json(), (attr_name,))
-        if node is None:
-            return E.ABSENT
-        return json_to_value(node, attr_type)
+    # -- probes
+
+    def probe(self, uri: str) -> Optional[UpstreamResponse]:
+        """GET ``uri`` upstream with the caller's token, at most once per
+        phase; None when the upstream is unreachable or its reply malformed."""
+        if uri not in self._probes:
+            token = self.ctx.auth_token()
+            headers = [("X-Auth-Token", token)] if token else []
+            started = time.monotonic()
+            try:
+                self._probes[uri] = self.monitor.upstream.request(
+                    "GET", uri, headers, timeout_s=self.monitor.probe_timeout_s
+                )
+            except UpstreamError:
+                self._probes[uri] = None
+            self.probe_ms += _ms_since(started)
+        return self._probes[uri]
 
     def requester_name(self) -> Optional[str]:
-        for (path, _token), resp in self.probes.cache.items():
+        for resp in self._probes.values():
             if resp is not None and resp.status == 200:
                 node = json_search(resp.json(), ("token", "user", "name"))
                 if isinstance(node, str):
@@ -534,12 +483,9 @@ class Monitor:
     # -- environment construction (exposed for direct testing)
 
     def resolve_pre_env(
-        self, ctx: RequestContext, contract: Contract, probes: Optional[_ProbeCache] = None
+        self, ctx: RequestContext, contract: Contract
     ) -> tuple[E.Environment, Snapshot]:
-        probes = probes or _ProbeCache(self.upstream, self.probe_timeout_s)
-        resolver = Resolver(
-            self.rm, self.routes, ctx, probes, self.variables, phase="pre"
-        )
+        resolver = Resolver(self, ctx, "pre", None)
         env = E.Environment(resolver, now=ctx.arrival_time, phase="pre")
         bindings = {p: env.lookup(p) for p in sorted(contract.snapshot_paths, key=str)}
         return env, Snapshot(bindings=bindings, captured_at=ctx.arrival_time)
@@ -550,18 +496,8 @@ class Monitor:
         contract: Contract,
         upstream_response: UpstreamResponse,
         snapshot: Snapshot,
-        probes: Optional[_ProbeCache] = None,
     ) -> E.Environment:
-        probes = probes or _ProbeCache(self.upstream, self.probe_timeout_s)
-        resolver = Resolver(
-            self.rm,
-            self.routes,
-            ctx,
-            probes,
-            self.variables,
-            phase="post",
-            upstream_response=upstream_response,
-        )
+        resolver = Resolver(self, ctx, "post", upstream_response)
         return E.Environment(
             resolver, now=ctx.arrival_time, phase="post", snapshot=snapshot.bindings
         )
@@ -606,8 +542,7 @@ class Monitor:
         matched = self.routes.match(ctx.uri)
         if matched is None:
             return _error(404, "no such resource")
-        entry, params = matched
-        ctx.path_params = params
+        entry, _ = matched
         if ctx.method not in entry.allowed_methods:
             allow = ", ".join(sorted(entry.allowed_methods))
             return _error(405, "method not allowed", [("Allow", allow)])
@@ -620,12 +555,11 @@ class Monitor:
             return _error(405, "unmodeled method",
                           [("Allow", ", ".join(sorted(entry.allowed_methods)))])
 
-        probes = _ProbeCache(self.upstream, self.probe_timeout_s)
-        env, snapshot = self.resolve_pre_env(ctx, contract, probes)
+        env, snapshot = self.resolve_pre_env(ctx, contract)
         failed = self.check_precondition(contract, env)
         resolver: Resolver = env.resolver  # type: ignore[assignment]
 
-        if not failed and not self.variables.acquire(ctx.uri):
+        if not failed and not self.variables.acquire(resolver.resource):
             # lost the test-and-set race: another side-effect call is in
             # flight on this resource
             failed = [("self.processing=False", E.FALSE)]
@@ -635,7 +569,7 @@ class Monitor:
                 outcome="pre_violation",
                 failed_atoms=failed,
                 contract_id=contract.id,
-                probe_ms=probes.elapsed_ms,
+                probe_ms=resolver.probe_ms,
                 total_ms=_ms_since(started),
             )
             return self._violation(ctx, resolver, verdict)
@@ -648,27 +582,26 @@ class Monitor:
         except UpstreamError:
             response = None
         finally:
-            self.variables.release(ctx.uri)
+            self.variables.release(resolver.resource)
         upstream_ms = _ms_since(upstream_started)
         if response is None:
             verdict = Verdict(
                 outcome="post_violation",
                 failed_atoms=[("upstream reachable", E.UNKNOWN)],
                 contract_id=contract.id,
-                probe_ms=probes.elapsed_ms,
+                probe_ms=resolver.probe_ms,
                 upstream_ms=upstream_ms,
                 total_ms=_ms_since(started),
             )
             return self._violation(ctx, resolver, verdict, status=504)
 
-        post_probes = _ProbeCache(self.upstream, self.probe_timeout_s)
-        post_env = self.resolve_post_env(ctx, contract, response, snapshot, post_probes)
+        post_env = self.resolve_post_env(ctx, contract, response, snapshot)
         post_failed = self.check_postcondition(contract, post_env)
         verdict = Verdict(
             outcome="post_violation" if post_failed else "pass",
             failed_atoms=post_failed,
             contract_id=contract.id,
-            probe_ms=probes.elapsed_ms + post_probes.elapsed_ms,
+            probe_ms=resolver.probe_ms + post_env.resolver.probe_ms,
             upstream_ms=upstream_ms,
             total_ms=_ms_since(started),
         )
@@ -693,8 +626,7 @@ class Monitor:
     def _audit(self, ctx: RequestContext) -> Optional[ViolationRecord]:
         """Optional mode: on GET, check that at least one state invariant
         currently holds; a service in no modeled state is reported."""
-        probes = _ProbeCache(self.upstream, self.probe_timeout_s)
-        resolver = Resolver(self.rm, self.routes, ctx, probes, self.variables, "pre")
+        resolver = Resolver(self, ctx, "pre", None)
         env = E.Environment(resolver, now=ctx.arrival_time)
         results = [
             (name, E.evaluate(inv, env)) for name, inv in self.state_invariants
@@ -705,7 +637,7 @@ class Monitor:
             outcome="audit_violation",
             failed_atoms=results,
             contract_id="state-audit",
-            probe_ms=probes.elapsed_ms,
+            probe_ms=resolver.probe_ms,
         )
         return ViolationRecord(
             timestamp=datetime.now(timezone.utc),

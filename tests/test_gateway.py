@@ -4,12 +4,14 @@ alternate operating modes."""
 import hashlib
 import json
 import random
+import socket
 import time
 
 import pytest
 
 from contractgate import expr as E
 from contractgate.gateway import (
+    MAX_BODY_BYTES,
     GatewayConfig,
     ViolationLog,
     build_gateway,
@@ -182,6 +184,61 @@ class TestOperatingModes:
         assert record["method"] == "DELETE"
         assert record["uri"] == "/v3/users/u-alice"
         assert record["latency_ms"] >= 0
+
+
+def _raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes to the gateway and read until it closes the
+    connection (a timeout fails the test)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:
+            pass
+    return reply
+
+
+class TestRequestFraming:
+    """Framing the gateway does not read is refused with one response and
+    a closed connection, before anything reaches the upstream."""
+
+    LOGIN = json.dumps(password_body("admin", "secret")).encode()
+
+    @pytest.mark.parametrize(
+        "framing, status",
+        [
+            (b"Content-Length: abc\r\n", 400),
+            (b"Content-Length: -5\r\n", 400),
+            (b"Content-Length: 2\r\nContent-Length: 3\r\n", 400),
+            (f"Content-Length: {MAX_BODY_BYTES + 1}\r\n".encode(), 413),
+            (b"Transfer-Encoding: chunked\r\n", 411),
+        ],
+    )
+    def test_refused_and_closed(self, harness, framing, status):
+        before = harness.service.side_effect_count()
+        body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(self.LOGIN), self.LOGIN)
+        if b"Transfer-Encoding" not in framing:
+            body = b""  # the declared length is never sent
+        reply = _raw_exchange(
+            harness.port,
+            b"POST /v3/auth/tokens HTTP/1.1\r\nHost: gw\r\n"
+            b"Content-Type: application/json\r\n" + framing + b"\r\n" + body,
+        )
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert harness.service.side_effect_count() == before
+
+    def test_well_framed_request_keeps_the_connection(self, harness):
+        request = (
+            b"POST /v3/auth/tokens HTTP/1.1\r\nHost: gw\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(self.LOGIN), self.LOGIN)
+        )
+        reply = _raw_exchange(
+            harness.port, request + request.replace(b"HTTP/1.1", b"HTTP/1.0", 1)
+        )
+        assert reply.count(b"HTTP/1.1 201 ") == 2
 
 
 class TestConcurrency:

@@ -168,6 +168,13 @@ class TestRoutes:
         assert entry.definition == "user"
         assert params == {"user_id": "u-42"}
 
+    def test_match_ignores_the_query_string(self, loaded_model):
+        rm, bm, _ = loaded_model
+        routes = derive_routes(rm, bm)
+        entry, params = routes.match("/v3/users/u-42?x=1")
+        assert entry.uri_template == "/v3/users/{user_id}"
+        assert params == {"user_id": "u-42"}
+
     def test_match_rejects_unknown(self, loaded_model):
         rm, bm, _ = loaded_model
         routes = derive_routes(rm, bm)

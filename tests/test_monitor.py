@@ -2,11 +2,16 @@
 and the full validation pipeline against the in-process harness."""
 
 import json
+import socket
+import threading
 from datetime import datetime, timedelta, timezone
+
+import pytest
 
 from contractgate import expr as E
 from contractgate import mock_keystone as mk
 from contractgate.monitor import (
+    HttpUpstream,
     MonitorVariables,
     RequestContext,
     Snapshot,
@@ -205,6 +210,83 @@ class TestPipeline:
             "expires_at" in atom["expr"] or "token.token" in atom["expr"]
             for atom in json.loads(body)["failed"]
         )
+
+
+class TestCanonicalResource:
+    @pytest.mark.parametrize(
+        "alias",
+        ["/v3//users/u-alice", "/v3/users/u-alice/", "/v3/users/u-alice?x=1"],
+    )
+    def test_alias_of_an_in_flight_resource_is_blocked(self, harness, alias):
+        """Every spelling of one resource's URI shares its self.processing
+        flag, so side effects on it serialize."""
+        token = harness.authenticate("admin", "secret")
+        before = harness.service.side_effect_count()
+        assert harness.gateway.monitor.variables.acquire("/v3/users/u-alice")
+        status, _, body = harness.call("DELETE", alias, headers={"X-Auth-Token": token})
+        assert status == 412
+        assert json.loads(body)["failed"] == [
+            {"expr": "self.processing=False", "value": "false"}
+        ]
+        assert harness.service.side_effect_count() == before
+
+    def test_query_string_is_forwarded(self, harness):
+        token = harness.authenticate("admin", "secret")
+        status, _, _ = harness.call(
+            "GET", "/v3/users?limit=1", headers={"X-Auth-Token": token}
+        )
+        assert status == 200
+        _, _, log = harness.call_mock("GET", "/__log")
+        assert {"method": "GET", "path": "/v3/users?limit=1"} in json.loads(log)["requests"]
+
+
+class TestHttpUpstream:
+    def test_forwards_exactly_one_content_length(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        received = []
+
+        def serve_once():
+            conn, _ = listener.accept()
+            with conn:
+                data = b""
+                while not data.endswith(b"{}"):
+                    data += conn.recv(4096)
+                received.append(data)
+                conn.sendall(b"HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n")
+
+        server = threading.Thread(target=serve_once, daemon=True)
+        server.start()
+        try:
+            upstream = HttpUpstream(f"http://127.0.0.1:{listener.getsockname()[1]}")
+            response = upstream.request(
+                "POST", "/v3/auth/tokens", [("content-length", "2")], b"{}"
+            )
+            server.join(timeout=5)
+        finally:
+            listener.close()
+        assert response.status == 204
+        head = received[0].split(b"\r\n\r\n")[0].lower()
+        assert head.count(b"\r\ncontent-length:") == 1
+        assert b"\r\ncontent-length: 2" in head
+
+
+class TestRecordTimings:
+    def test_blocked_delete_record_has_probe_time_only(self, harness):
+        token = harness.authenticate("alice", "wonder")
+        ctx = RequestContext.build(
+            "DELETE", "/v3/users/u-admin", {"X-Auth-Token": token}, b""
+        )
+        record = harness.gateway.monitor.handle(ctx, b"").violation.to_json()
+        assert record["phase"] == "pre"
+        assert record["probe_ms"] > 0
+        assert record["upstream_ms"] == 0
+
+    def test_post_violation_record_has_upstream_time(self, harness):
+        raw = json.dumps(password_body("admin", "wrong")).encode()
+        ctx = RequestContext.build("POST", "/v3/auth/tokens", {}, raw)
+        record = harness.gateway.monitor.handle(ctx, raw).violation.to_json()
+        assert record["phase"] == "post"
+        assert record["upstream_ms"] > 0
 
 
 class TestMalformedUpstreamReply:
