@@ -76,6 +76,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         pass
     finally:
         server.server_close()
+        gateway.monitor.upstream.close()
         gateway.violation_log.close()
     return EXIT_OK
 

@@ -589,12 +589,15 @@ def _literal_value(e: Literal) -> Value:
     return text(e.value)
 
 
-def _size(v: Value) -> int:
-    if v.kind in (Kind.ABSENT, Kind.INVALID):
-        return 0
+def _size(v: Value) -> Value:
+    """Absent has no elements; an Invalid value has no known size."""
+    if v.kind is Kind.INVALID:
+        return INVALID
+    if v.kind is Kind.ABSENT:
+        return integer(0)
     if v.kind is Kind.COUNT:
-        return v.data
-    return 1
+        return integer(v.data)
+    return integer(1)
 
 
 def _operand_value(e: Expression, env: Environment, antecedent: bool) -> Value:
@@ -603,7 +606,7 @@ def _operand_value(e: Expression, env: Environment, antecedent: bool) -> Value:
     if isinstance(e, Literal):
         return _literal_value(e)
     if isinstance(e, SizeOf):
-        return integer(_size(env.lookup(e.path, antecedent)))
+        return _size(env.lookup(e.path, antecedent))
     if isinstance(e, ClockTime):
         return timestamp(env.now)
     return INVALID

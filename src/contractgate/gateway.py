@@ -10,12 +10,13 @@ import os
 import queue
 import threading
 from dataclasses import dataclass, replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
 
 from . import expr as E
 from .contracts import derive_contracts, render_contracts
+from .httpreply import OneWriteHandler
 from .model import derive_routes, load_model, validate_model
 from .monitor import HttpUpstream, Monitor, RequestContext, ViolationRecord
 
@@ -115,19 +116,29 @@ class ViolationLog:
                     pass
 
     def _writer(self) -> None:
-        while not self._closing.is_set() or not self.queue.empty():
-            try:
-                line = self.queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            try:
-                if self.path:
-                    with open(self.path, "a", encoding="utf-8") as fh:
+        """Drain the queue into the file, which stays open for the writer's
+        life and is flushed whenever the queue runs empty."""
+        fh = None
+        try:
+            while not self._closing.is_set() or not self.queue.empty():
+                try:
+                    line = self.queue.get(timeout=0.1)
+                except queue.Empty:
+                    continue
+                try:
+                    if self.path:
+                        if fh is None:
+                            fh = open(self.path, "a", encoding="utf-8")
                         fh.write(line + "\n")
-                with self._lock:
-                    self.written += 1
-            except OSError as exc:
-                log.warning("violation log write failed: %s", exc)
+                        if self.queue.empty():
+                            fh.flush()
+                    with self._lock:
+                        self.written += 1
+                except OSError as exc:
+                    log.warning("violation log write failed: %s", exc)
+        finally:
+            if fh is not None:
+                fh.close()
 
     def close(self) -> None:
         self._closing.set()
@@ -193,8 +204,7 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
     )
 
 
-class _GatewayHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _GatewayHandler(OneWriteHandler):
     gateway: Gateway = None  # bound by make_server
 
     def _dispatch(self) -> None:
@@ -253,19 +263,6 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         if lengths and int(lengths[0]) > MAX_BODY_BYTES:
             return 413, "request body too large"
         return None
-
-    def _reply(self, status: int, headers: list[tuple[str, str]], body: bytes) -> None:
-        self.send_response_only(status)
-        has_length = False
-        for name, value in headers:
-            if name.lower() == "content-length":
-                has_length = True
-            self.send_header(name, value)
-        if not has_length:
-            self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if body and self.command != "HEAD":
-            self.wfile.write(body)
 
     do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD = _dispatch
 

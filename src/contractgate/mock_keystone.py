@@ -15,8 +15,10 @@ import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Callable, Optional
+
+from .httpreply import OneWriteHandler
 
 DEFAULT_TTL_SECONDS = 3600
 
@@ -392,8 +394,7 @@ class MockKeystone:
 # HTTP wiring
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _Handler(OneWriteHandler):
     service: MockKeystone = None  # set by make_server
 
     def _dispatch(self) -> None:
@@ -407,21 +408,15 @@ class _Handler(BaseHTTPRequestHandler):
             return
 
         response = self.service.handle(self.command, path, headers, body)
+        # deterministic Date from the injected clock so identically seeded
+        # instances produce byte-identical responses
+        date = format_datetime(self.service.store.clock(), usegmt=True)
+        reply_headers = [("Date", date), *response.headers]
         payload = b""
         if response.body is not None:
             payload = json.dumps(response.body, sort_keys=True).encode("utf-8")
-        self.send_response_only(response.status)
-        # deterministic Date from the injected clock so identically seeded
-        # instances produce byte-identical responses
-        self.send_header("Date", format_datetime(self.service.store.clock(), usegmt=True))
-        for name, value in response.headers:
-            self.send_header(name, value)
-        if response.body is not None:
-            self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        if payload:
-            self.wfile.write(payload)
+            reply_headers.append(("Content-Type", "application/json"))
+        self._reply(response.status, reply_headers, payload)
 
     def _serve_log(self) -> None:
         if self.command == "DELETE":
@@ -435,11 +430,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "side_effect_count": self.service.side_effect_count(),
                 }
             ).encode("utf-8")
-        self.send_response_only(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        self._reply(200, [("Content-Type", "application/json")], payload)
 
     do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = _dispatch
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
 import threading
 import time
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ HOP_BY_HOP = {
     "transfer-encoding",
     "upgrade",
 }
+POOL_SIZE = 8  # idle kept-alive connections per upstream
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +68,12 @@ class UpstreamResponse:
 
 class HttpUpstream:
     """Thin upstream client over http.client; preserves response header order
-    and case so passing traffic can be relayed verbatim."""
+    and case so passing traffic can be relayed verbatim.
+
+    Connections are kept alive in a bounded LIFO pool.  A GET that fails on a
+    pooled connection, other than by timing out, is retried once on a fresh
+    one; any other method is never resent, because the upstream may already
+    have acted on it."""
 
     def __init__(self, base_url: str, timeout_s: float = 10.0):
         parts = urlsplit(base_url)
@@ -75,6 +82,8 @@ class HttpUpstream:
         self.host = parts.hostname or "127.0.0.1"
         self.port = parts.port or 80
         self.timeout_s = timeout_s
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
 
     def request(
         self,
@@ -84,24 +93,64 @@ class HttpUpstream:
         body: bytes = b"",
         timeout_s: Optional[float] = None,
     ) -> UpstreamResponse:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout_s or self.timeout_s
-        )
+        timeout = timeout_s or self.timeout_s
         header_map: dict[str, str] = {}
         for k, v in headers or []:
             # http.client frames the body itself: exactly one Content-Length
             if k.lower() in HOP_BY_HOP or k.lower() in ("host", "content-length"):
                 continue
             header_map[k] = v
-        try:
-            conn.request(method, path, body=body or None, headers=header_map)
-            resp = conn.getresponse()
-            payload = resp.read()
+        conn = self._checkout(timeout)
+        while True:
+            pooled = conn is not None
+            if conn is None:
+                conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
+            try:
+                conn.request(method, path, body=body or None, headers=header_map)
+                resp = conn.getresponse()
+                payload = resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if pooled and method == "GET" and not isinstance(exc, TimeoutError):
+                    conn = None  # the pooled connection was stale: once more, fresh
+                    continue
+                # a malformed reply is as unusable as no reply (fail-closed)
+                raise UpstreamError(str(exc)) from exc
+            if resp.will_close:
+                conn.close()
+            else:
+                self._checkin(conn)
             return UpstreamResponse(resp.status, list(resp.getheaders()), payload)
-        except (OSError, http.client.HTTPException) as exc:
-            # a malformed reply is as unusable as no reply (fail-closed)
-            raise UpstreamError(str(exc)) from exc
-        finally:
+
+    def _checkout(self, timeout: float) -> Optional[http.client.HTTPConnection]:
+        """The most recently used idle connection that is still usable, with
+        ``timeout`` set on its socket; None when there is none."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    return None
+                conn = self._idle.pop()
+            # an idle socket with something to read was closed by the peer
+            # or holds stray bytes; either way no reply can be read from it
+            if select.select([conn.sock], [], [], 0)[0]:
+                conn.close()
+                continue
+            conn.timeout = timeout
+            conn.sock.settimeout(timeout)
+            return conn
+
+    def _checkin(self, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if len(self._idle) < POOL_SIZE:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
             conn.close()
 
 
@@ -410,7 +459,10 @@ class Resolver:
             return E.ABSENT
         if json_path is None:
             return E.count(1)
-        return json_to_value(json_search(reply.json(), json_path), attr_type)
+        doc = reply.json()
+        if doc is None:
+            return E.INVALID  # unparseable probe body
+        return json_to_value(json_search(doc, json_path), attr_type)
 
     def _fixed_uri(self, definition: str) -> Optional[str]:
         entry = self.monitor.routes.for_definition(definition)

@@ -116,6 +116,7 @@ class Harness:
         for server in self._servers:
             server.shutdown()
             server.server_close()
+        self.gateway.monitor.upstream.close()
         self.gateway.violation_log.close()
 
 
@@ -125,7 +126,8 @@ def boot_harness(faults: mk.FaultProfile = mk.FaultProfile(), *,
     store = mk.IdentityStore(seed=seed, clock=clock, faults=faults)
     service = mk.MockKeystone(store)
     mock_server = mk.make_server(service)
-    threading.Thread(target=mock_server.serve_forever, daemon=True).start()
+    threading.Thread(target=mock_server.serve_forever,
+                     kwargs={"poll_interval": 0.02}, daemon=True).start()
     mock_port = mock_server.server_address[1]
 
     cfg = GatewayConfig(
@@ -137,7 +139,8 @@ def boot_harness(faults: mk.FaultProfile = mk.FaultProfile(), *,
     )
     gateway = build_gateway(cfg)
     gateway_server = make_server(gateway)
-    threading.Thread(target=gateway_server.serve_forever, daemon=True).start()
+    threading.Thread(target=gateway_server.serve_forever,
+                     kwargs={"poll_interval": 0.02}, daemon=True).start()
 
     return Harness(
         store=store,

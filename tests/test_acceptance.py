@@ -244,7 +244,8 @@ def test_6_non_interference():
         direct_server = mk.make_server(direct)
         import threading
 
-        threading.Thread(target=direct_server.serve_forever, daemon=True).start()
+        threading.Thread(target=direct_server.serve_forever,
+                         kwargs={"poll_interval": 0.02}, daemon=True).start()
         direct_port = direct_server.server_address[1]
 
         from conftest import http_call

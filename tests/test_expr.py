@@ -153,7 +153,7 @@ class TestEvaluate:
         )
         assert E.evaluate(E.parse_expression("a.one->size()=1"), env) is E.TRUE
         assert E.evaluate(E.parse_expression("a.many->size()=3"), env) is E.TRUE
-        assert E.evaluate(E.parse_expression("a.bad->size()=0"), env) is E.TRUE
+        assert E.evaluate(E.parse_expression("a.bad->size()=0"), env) is E.UNKNOWN
         assert E.evaluate(E.parse_expression("a.gone->size()=0"), env) is E.TRUE
 
     def test_is_invalid_never_unknown(self):

@@ -132,6 +132,19 @@ class TestViolationLog:
         ]
         assert lines[1]["contract"] == "DELETE /v3/users/{user_id}"
 
+    def test_record_reaches_the_file_while_open(self, tmp_path):
+        path = tmp_path / "violations.jsonl"
+        log = ViolationLog(str(path))
+        try:
+            log.record(_record())
+            assert _wait_for(
+                lambda: path.exists() and path.read_text().endswith("\n"),
+                timeout=1.0,
+            )
+            assert json.loads(path.read_text())["phase"] == "pre"
+        finally:
+            log.close()
+
     def test_overload_drops_oldest_and_counts(self, tmp_path):
         log = ViolationLog(str(tmp_path / "v.jsonl"), max_queue=4)
         # stall the writer by flooding faster than it can drain

@@ -1,9 +1,11 @@
 """Runtime monitor tests: JSON helpers, request context, monitor variables,
 and the full validation pipeline against the in-process harness."""
 
+import http.client
 import json
 import socket
 import threading
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -15,6 +17,7 @@ from contractgate.monitor import (
     MonitorVariables,
     RequestContext,
     Snapshot,
+    UpstreamError,
     json_search,
     json_to_value,
     json_walk,
@@ -262,6 +265,7 @@ class TestHttpUpstream:
                 "POST", "/v3/auth/tokens", [("content-length", "2")], b"{}"
             )
             server.join(timeout=5)
+            upstream.close()
         finally:
             listener.close()
         assert response.status == 204
@@ -294,25 +298,25 @@ class TestMalformedUpstreamReply:
         """The upstream performs the delete but answers with bytes that are
         not HTTP.  The gateway must refuse fail-closed and free the
         resource's self.processing flag."""
-        mock_server = harness._servers[0]
-        handler = mock_server.RequestHandlerClass
+        handler = harness._servers[0].RequestHandlerClass
 
-        class GarbageAfterDelete(handler):
-            def do_DELETE(self):
-                headers = {k.lower(): v for k, v in self.headers.items()}
-                self.service.handle(self.command, self.path, headers, b"")
-                self.wfile.write(b"NOT HTTP\r\n\r\n")
-                self.close_connection = True
+        def garbage_after_delete(self):
+            headers = {k.lower(): v for k, v in self.headers.items()}
+            self.service.handle(self.command, self.path, headers, b"")
+            self.wfile.write(b"NOT HTTP\r\n\r\n")
+            self.close_connection = True
 
         token = harness.authenticate("admin", "secret")
         uri = "/v3/users/u-alice"
-        mock_server.RequestHandlerClass = GarbageAfterDelete
+        # patched on the bound class, so a kept-alive connection's existing
+        # handler sees it too
+        handler.do_DELETE = garbage_after_delete
         try:
             status, _, body = harness.call(
                 "DELETE", uri, headers={"X-Auth-Token": token}
             )
         finally:
-            mock_server.RequestHandlerClass = handler
+            del handler.do_DELETE
         assert status == 504
         assert json.loads(body)["failed"] == [
             {"expr": "upstream reachable", "value": "unknown"}
@@ -323,6 +327,167 @@ class TestMalformedUpstreamReply:
         assert json.loads(body)["failed"] == [
             {"expr": "user.id->size()=1", "value": "false"}
         ]
+
+
+class TestUnreadableState:
+    def test_unreadable_reprobe_after_delete_is_502(self, harness):
+        """The upstream answers the DELETE 204 without deleting, then answers
+        the post-phase re-probe 200 with a body that is not JSON.  The
+        unreadable state must not satisfy user.id->size()=0."""
+        handler = harness._servers[0].RequestHandlerClass
+        uri = "/v3/users/u-alice"
+        deletes = []
+
+        def pretend_delete(self):
+            deletes.append(self.path)
+            self._reply(204, [], b"")
+
+        def html_after_delete(self):
+            if deletes and self.path == uri:
+                self._reply(200, [("Content-Type", "text/html")], b"<html>ok</html>")
+            else:
+                handler._dispatch(self)
+
+        token = harness.authenticate("admin", "secret")
+        handler.do_DELETE, handler.do_GET = pretend_delete, html_after_delete
+        try:
+            status, _, body = harness.call(
+                "DELETE", uri, headers={"X-Auth-Token": token}
+            )
+        finally:
+            del handler.do_DELETE, handler.do_GET
+        assert deletes == [uri]
+        assert status == 502
+        assert {"expr": "user.id->size()=0", "value": "unknown"} in json.loads(body)["failed"]
+        assert "u-alice" in harness.store.users
+
+
+class TestUpstreamPool:
+    """Kept-alive upstream connections: reuse, stale connections, and side
+    effects that are never resent."""
+
+    def test_sequential_calls_reuse_one_connection(self, harness, monkeypatch):
+        connects = []
+        connect = http.client.HTTPConnection.connect
+
+        def counting_connect(conn):
+            if conn.port == harness.mock_port:
+                connects.append(conn)
+            connect(conn)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+        token = harness.authenticate("admin", "secret")
+        auth = {"X-Auth-Token": token}
+        for _ in range(3):
+            assert harness.call("GET", "/v3/users/u-alice", headers=auth)[0] == 200
+        assert harness.call("DELETE", "/v3/users/u-alice", headers=auth)[0] == 204
+        assert len(connects) == 1
+
+    def test_idle_connection_closed_by_the_upstream_is_not_used(self, harness):
+        handler = harness._servers[0].RequestHandlerClass
+        handler.timeout = 0.2  # the mock closes connections idle this long
+        try:
+            upstream = harness.gateway.monitor.upstream
+            token = harness.authenticate("admin", "secret")
+            auth = [("X-Auth-Token", token)]
+            time.sleep(0.5)
+            probe = upstream.request("GET", "/v3/users/u-alice", auth, timeout_s=2.0)
+            assert probe.status == 200
+            time.sleep(0.5)
+            before = harness.service.side_effect_count()
+            assert upstream.request("DELETE", "/v3/users/u-alice", auth).status == 204
+            assert harness.service.side_effect_count() == before + 1
+        finally:
+            del handler.timeout
+
+    def test_side_effect_on_a_dropped_connection_is_504_and_not_resent(self, harness):
+        """The upstream reads the DELETE and closes without replying."""
+        handler = harness._servers[0].RequestHandlerClass
+        uri = "/v3/users/u-alice"
+        deletes = []
+
+        def drop_delete(self):
+            deletes.append(self.path)
+            self.close_connection = True
+
+        token = harness.authenticate("admin", "secret")
+        auth = {"X-Auth-Token": token}
+        handler.do_DELETE = drop_delete
+        try:
+            status, _, body = harness.call("DELETE", uri, headers=auth)
+        finally:
+            del handler.do_DELETE
+        assert status == 504
+        assert json.loads(body)["failed"] == [
+            {"expr": "upstream reachable", "value": "unknown"}
+        ]
+        assert deletes == [uri]
+        assert not harness.gateway.monitor.variables.processing(uri)
+        assert harness.call("DELETE", uri, headers=auth)[0] == 204
+
+    def test_reply_with_connection_close_is_not_reused(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        accepted = []
+
+        def serve():
+            for _ in range(2):
+                conn, _ = listener.accept()
+                accepted.append(conn)  # left open: only the header says close
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    data += conn.recv(4096)
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nConnection: close\r\n"
+                    b"Content-Length: 2\r\n\r\n{}"
+                )
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        try:
+            upstream = HttpUpstream(
+                f"http://127.0.0.1:{listener.getsockname()[1]}", timeout_s=2.0
+            )
+            statuses = [upstream.request("GET", "/v3/users").status for _ in range(2)]
+            server.join(timeout=5)
+        finally:
+            for conn in accepted:
+                conn.close()
+            listener.close()
+        assert statuses == [200, 200]
+        assert len(accepted) == 2
+
+    def test_timed_out_get_is_not_retried(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        accepted = []
+
+        def serve():
+            conn, _ = listener.accept()
+            accepted.append(conn)
+            data = b""
+            while b"\r\n\r\n" not in data:
+                data += conn.recv(4096)
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+            # the next GET on this connection is never answered; a retry
+            # would arrive on a second connection
+            listener.settimeout(1.0)
+            try:
+                accepted.append(listener.accept()[0])
+            except socket.timeout:
+                pass
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        try:
+            upstream = HttpUpstream(f"http://127.0.0.1:{listener.getsockname()[1]}")
+            assert upstream.request("GET", "/v3/users").status == 200
+            with pytest.raises(UpstreamError):
+                upstream.request("GET", "/v3/users", timeout_s=0.2)
+            server.join(timeout=5)
+        finally:
+            for conn in accepted:
+                conn.close()
+            listener.close()
+        assert len(accepted) == 1
 
 
 class TestAuditGet:
