@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import queue
+import re
 import threading
 from dataclasses import dataclass, replace
 from http.server import ThreadingHTTPServer
@@ -16,7 +17,14 @@ from typing import Optional
 
 from . import expr as E
 from .contracts import derive_contracts, render_contracts
-from .httpreply import OneWriteHandler
+from .httpreply import (
+    TOKEN,
+    FramingError,
+    OneWriteHandler,
+    field_tokens,
+    field_values,
+    read_headers,
+)
 from .model import derive_routes, load_model, validate_model
 from .monitor import HttpUpstream, Monitor, RequestContext, ViolationRecord
 
@@ -24,6 +32,9 @@ log = logging.getLogger(__name__)
 
 ENV_PREFIX = "CONTRACTGATE_"
 MAX_BODY_BYTES = 1 << 20  # longer request bodies are refused (413) unread
+_REQUEST_LINE = re.compile(
+    rb"(" + TOKEN.pattern + rb") ([!-~]+) HTTP/([0-9])\.([0-9])\r\n"
+)  # METHOD SP target (visible ASCII) SP HTTP-version CRLF
 
 
 @dataclass
@@ -125,6 +136,8 @@ class ViolationLog:
                     line = self.queue.get(timeout=0.1)
                 except queue.Empty:
                     continue
+                if line is None:  # close() waking the writer
+                    continue
                 try:
                     if self.path:
                         if fh is None:
@@ -142,6 +155,10 @@ class ViolationLog:
 
     def close(self) -> None:
         self._closing.set()
+        try:
+            self.queue.put_nowait(None)  # wake the writer now, not at its next poll
+        except queue.Full:
+            pass  # the writer is busy draining anyway
         self._thread.join(timeout=5.0)
 
 
@@ -207,20 +224,65 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
 class _GatewayHandler(OneWriteHandler):
     gateway: Gateway = None  # bound by make_server
 
+    def parse_request(self) -> bool:
+        """Read the request line and the header block strictly, in place of
+        the stdlib's parser.  The line must be ``METHOD SP target SP
+        HTTP/1.x``: HTTP/2 or later gets 505, anything else 400; a malformed
+        header block gets 400 (431 past a size limit).  A refusal closes the
+        connection.  ``self.headers`` holds the (name, value) pairs."""
+        self.command = None
+        self.close_connection = True
+        match = _REQUEST_LINE.fullmatch(self.raw_requestline)
+        if match is None or match[3] == b"0":
+            return self._refuse(400, "malformed request line")
+        if match[3] != b"1":
+            return self._refuse(505, "HTTP version not supported")
+        self.command = match[1].decode("ascii")
+        self.path = match[2].decode("ascii")
+        if self.path.startswith("//"):  # as the stdlib: no scheme-relative path
+            self.path = "/" + self.path.lstrip("/")
+        self.request_version = f"HTTP/1.{match[4].decode()}"
+        http_1_1 = match[4] != b"0"
+        try:
+            self.headers = read_headers(self.rfile)
+        except FramingError as exc:
+            return self._refuse(exc.status, str(exc))
+        connection = field_tokens(self.headers, "connection")
+        self.close_connection = "close" in connection or (
+            not http_1_1 and "keep-alive" not in connection
+        )
+        return True
+
+    def send_error(self, code: int, message: Optional[str] = None, explain=None) -> None:
+        """The stdlib's own refusals (a request line over 65536 bytes, an
+        unknown method) are answered like the gateway's."""
+        self._refuse(code, message or self.responses[code][0])
+
+    def _refuse(self, status: int, message: str) -> bool:
+        """Answer with a JSON error and close the connection, so no unread
+        bytes can be taken for a further request on it."""
+        self._reply(
+            status,
+            [("Content-Type", "application/json"), ("Connection", "close")],
+            json.dumps({"error": message}).encode(),
+        )
+        return False
+
     def _dispatch(self) -> None:
         gw = self.gateway
         refusal = self._framing_refusal()
         if refusal is not None:
-            status, message = refusal
-            self.close_connection = True
-            self._reply(
-                status,
-                [("Content-Type", "application/json"), ("Connection", "close")],
-                json.dumps({"error": message}).encode(),
-            )
+            self._refuse(*refusal)
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        expect = field_values(self.headers, "expect")
+        if self.request_version != "HTTP/1.0" and [v.lower() for v in expect] == ["100-continue"]:
+            self.handle_expect_100()  # only once the body will be read
+        lengths = field_values(self.headers, "content-length")
+        length = int(lengths[0]) if lengths else 0
         raw_body = self.rfile.read(length) if length else b""
+        if len(raw_body) < length:
+            self._refuse(400, "request body shorter than its Content-Length")
+            return
 
         if self.path == "/healthz" and self.command == "GET":
             self._reply(
@@ -243,21 +305,17 @@ class _GatewayHandler(OneWriteHandler):
             )
             return
 
-        ctx = RequestContext.build(
-            self.command, self.path, dict(self.headers.items()), raw_body
-        )
+        ctx = RequestContext.build(self.command, self.path, dict(self.headers), raw_body)
         result = gw.monitor.handle(ctx, raw_body)
         if result.violation is not None:
             gw.violation_log.record(result.violation)
         self._reply(result.status, result.headers, result.body)
 
     def _framing_refusal(self) -> Optional[tuple[int, str]]:
-        """Status and message for a request body the gateway will not read.
-        The connection is then closed, so no unread body bytes can be taken
-        for a further request on it."""
-        if "Transfer-Encoding" in self.headers:
+        """Status and message for a request body the gateway will not read."""
+        if field_values(self.headers, "transfer-encoding"):
             return 411, "Transfer-Encoding is not supported; send Content-Length"
-        lengths = self.headers.get_all("Content-Length") or []
+        lengths = field_values(self.headers, "content-length")
         if len(lengths) > 1 or any(not (v.isascii() and v.isdigit()) for v in lengths):
             return 400, "malformed Content-Length"
         if lengths and int(lengths[0]) > MAX_BODY_BYTES:

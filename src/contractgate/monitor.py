@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import select
 import threading
 import time
@@ -21,6 +22,7 @@ from urllib.parse import urlsplit
 
 from . import expr as E
 from .contracts import Contract
+from .httpreply import TOKEN, FramingError, SocketReader, read_reply
 from .model import ResourceModel, RouteTable
 
 HOP_BY_HOP = {
@@ -34,6 +36,9 @@ HOP_BY_HOP = {
     "upgrade",
 }
 POOL_SIZE = 8  # idle kept-alive connections per upstream
+_TARGET = re.compile(r"[!-~]+")  # no whitespace or control character
+_CR_LF_NUL = re.compile(r"[\r\n\x00]")
+_UNREAD = object()
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +54,7 @@ class UpstreamResponse:
     status: int
     headers: list[tuple[str, str]]
     body: bytes
+    _doc: object = field(default=_UNREAD, init=False, repr=False, compare=False)
 
     def header(self, name: str) -> Optional[str]:
         lowered = name.lower()
@@ -58,17 +64,23 @@ class UpstreamResponse:
         return None
 
     def json(self) -> Optional[object]:
-        if not self.body:
-            return None
-        try:
-            return json.loads(self.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
+        """The body parsed as JSON, or None when it is empty or not JSON.
+        Parsed once: every caller gets the same object, to read only."""
+        if self._doc is _UNREAD:
+            self._doc = None
+            if self.body:
+                try:
+                    self._doc = json.loads(self.body.decode("utf-8"))
+                except (ValueError, UnicodeDecodeError):
+                    pass
+        return self._doc
 
 
 class HttpUpstream:
-    """Thin upstream client over http.client; preserves response header order
-    and case so passing traffic can be relayed verbatim.
+    """Upstream client over kept-alive sockets.  Each request leaves in one
+    write; the reply is read with the gateway's own framing
+    (``httpreply.read_reply``), keeping response header order and case so
+    passing traffic can be relayed verbatim.
 
     Connections are kept alive in a bounded LIFO pool.  A GET that fails on a
     pooled connection, other than by timing out, is retried once on a fresh
@@ -82,7 +94,9 @@ class HttpUpstream:
         self.host = parts.hostname or "127.0.0.1"
         self.port = parts.port or 80
         self.timeout_s = timeout_s
-        self._idle: list[http.client.HTTPConnection] = []
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        self._host_field = host if self.port == 80 else f"{host}:{self.port}"
+        self._idle: list[SocketReader] = []
         self._lock = threading.Lock()
 
     def request(
@@ -93,36 +107,74 @@ class HttpUpstream:
         body: bytes = b"",
         timeout_s: Optional[float] = None,
     ) -> UpstreamResponse:
-        timeout = timeout_s or self.timeout_s
-        header_map: dict[str, str] = {}
-        for k, v in headers or []:
-            # http.client frames the body itself: exactly one Content-Length
-            if k.lower() in HOP_BY_HOP or k.lower() in ("host", "content-length"):
-                continue
-            header_map[k] = v
+        """Send one request and read its reply within ``timeout_s`` seconds
+        (default: the upstream timeout); with no time left, nothing is sent.
+        Raises UpstreamError when the request cannot be sent or the reply is
+        late, missing, truncated or malformed."""
+        timeout = self.timeout_s if timeout_s is None else timeout_s
+        if timeout <= 0:
+            raise UpstreamError("no time left for the upstream call")
+        message = self._message(method, path, headers or [], body)
         conn = self._checkout(timeout)
         while True:
             pooled = conn is not None
-            if conn is None:
-                conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
             try:
-                conn.request(method, path, body=body or None, headers=header_map)
-                resp = conn.getresponse()
-                payload = resp.read()
-            except (OSError, http.client.HTTPException) as exc:
-                conn.close()
+                if conn is None:
+                    conn = self._connect(timeout)
+                conn.deadline = time.monotonic() + timeout
+                conn.sock.sendall(message)
+                status, fields, payload, keep_alive = read_reply(conn, method)
+            except (OSError, FramingError) as exc:
+                if conn is not None:
+                    conn.close()
                 if pooled and method == "GET" and not isinstance(exc, TimeoutError):
                     conn = None  # the pooled connection was stale: once more, fresh
                     continue
                 # a malformed reply is as unusable as no reply (fail-closed)
                 raise UpstreamError(str(exc)) from exc
-            if resp.will_close:
-                conn.close()
-            else:
+            if keep_alive and not conn.pending:
                 self._checkin(conn)
-            return UpstreamResponse(resp.status, list(resp.getheaders()), payload)
+            else:
+                conn.close()
+            return UpstreamResponse(status, fields, payload)
 
-    def _checkout(self, timeout: float) -> Optional[http.client.HTTPConnection]:
+    def _message(
+        self, method: str, path: str, headers: list[tuple[str, str]], body: bytes
+    ) -> bytes:
+        """The request line, Host, the caller's headers minus hop-by-hop,
+        Host and Content-Length, and one Content-Length when there is a body
+        or the method carries one.  As http.client did, ``Accept-Encoding:
+        identity`` is asked for unless the caller names an encoding, so that
+        probe replies stay readable."""
+        if not TOKEN.fullmatch(method.encode()) or not _TARGET.fullmatch(path):
+            raise UpstreamError(f"refusing to send {method!r} {path!r}")
+        lines = [f"{method} {path} HTTP/1.1", f"Host: {self._host_field}"]
+        accept_encoding = False
+        for name, value in headers:
+            lowered = name.lower()
+            if lowered in HOP_BY_HOP or lowered in ("host", "content-length"):
+                continue
+            if not TOKEN.fullmatch(name.encode()) or _CR_LF_NUL.search(value):
+                raise UpstreamError(f"refusing to send header {name!r}")
+            accept_encoding = accept_encoding or lowered == "accept-encoding"
+            lines.append(f"{name}: {value}")
+        if not accept_encoding:
+            lines.append("Accept-Encoding: identity")
+        if body or method in ("POST", "PUT", "PATCH"):
+            lines.append(f"Content-Length: {len(body)}")
+        lines.append("\r\n")
+        try:
+            return "\r\n".join(lines).encode("latin-1") + body
+        except UnicodeEncodeError as exc:
+            raise UpstreamError("header not encodable as latin-1") from exc
+
+    def _connect(self, timeout: float) -> SocketReader:
+        # HTTPConnection.connect sets TCP_NODELAY, and tracers count connects on it
+        conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
+        conn.connect()
+        return SocketReader(conn.sock)
+
+    def _checkout(self, timeout: float) -> Optional[SocketReader]:
         """The most recently used idle connection that is still usable, with
         ``timeout`` set on its socket; None when there is none."""
         while True:
@@ -135,11 +187,10 @@ class HttpUpstream:
             if select.select([conn.sock], [], [], 0)[0]:
                 conn.close()
                 continue
-            conn.timeout = timeout
             conn.sock.settimeout(timeout)
             return conn
 
-    def _checkin(self, conn: http.client.HTTPConnection) -> None:
+    def _checkin(self, conn: SocketReader) -> None:
         with self._lock:
             if len(self._idle) < POOL_SIZE:
                 self._idle.append(conn)
@@ -167,6 +218,16 @@ class RequestContext:
     arrival_time: datetime = field(
         default_factory=lambda: datetime.now(timezone.utc)
     )
+    # time.monotonic() by which every upstream call for the request must
+    # end; set by Monitor.handle, None outside it
+    deadline: Optional[float] = None
+
+    def time_left(self, cap: float) -> float:
+        """Seconds an upstream call may take: ``cap``, cut to the time left
+        before the deadline."""
+        if self.deadline is None:
+            return cap
+        return min(cap, self.deadline - time.monotonic())
 
     @classmethod
     def build(
@@ -481,7 +542,8 @@ class Resolver:
             started = time.monotonic()
             try:
                 self._probes[uri] = self.monitor.upstream.request(
-                    "GET", uri, headers, timeout_s=self.monitor.probe_timeout_s
+                    "GET", uri, headers,
+                    timeout_s=self.ctx.time_left(self.monitor.probe_timeout_s),
                 )
             except UpstreamError:
                 self._probes[uri] = None
@@ -590,7 +652,11 @@ class Monitor:
     # -- pipeline
 
     def handle(self, ctx: RequestContext, raw_body: bytes) -> MonitorResult:
+        """Check and forward one request.  Its probes and its forward share
+        one deadline, the upstream timeout after it starts: each probe may
+        take the probe timeout or the time left, whichever is less."""
         started = time.monotonic()
+        ctx.deadline = started + self.upstream.timeout_s
         matched = self.routes.match(ctx.uri)
         if matched is None:
             return _error(404, "no such resource")
@@ -629,7 +695,8 @@ class Monitor:
         upstream_started = time.monotonic()
         try:
             response = self.upstream.request(
-                ctx.method, ctx.uri, list(ctx.headers.items()), raw_body
+                ctx.method, ctx.uri, list(ctx.headers.items()), raw_body,
+                timeout_s=ctx.time_left(self.upstream.timeout_s),
             )
         except UpstreamError:
             response = None
@@ -669,7 +736,8 @@ class Monitor:
             violation = self._audit(ctx)
         try:
             response = self.upstream.request(
-                ctx.method, ctx.uri, list(ctx.headers.items()), raw_body
+                ctx.method, ctx.uri, list(ctx.headers.items()), raw_body,
+                timeout_s=ctx.time_left(self.upstream.timeout_s),
             )
         except UpstreamError:
             return _error(504, "upstream unreachable")

@@ -3,6 +3,7 @@ in-process mock + gateway harness."""
 
 import http.client
 import json
+import socket
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -120,6 +121,22 @@ class Harness:
         self.gateway.violation_log.close()
 
 
+def boot_gateway(upstream_url: str, **config_overrides):
+    """Build the fixture-model gateway for ``upstream_url`` and serve it on
+    an ephemeral port; returns the gateway and its server."""
+    cfg = GatewayConfig(
+        listen_address="127.0.0.1:0",
+        upstream_base_url=upstream_url,
+        model_path=keystone_fixture_path(),
+        **config_overrides,
+    )
+    gateway = build_gateway(cfg)
+    server = make_server(gateway)
+    threading.Thread(target=server.serve_forever,
+                     kwargs={"poll_interval": 0.02}, daemon=True).start()
+    return gateway, server
+
+
 def boot_harness(faults: mk.FaultProfile = mk.FaultProfile(), *,
                  clock=None, seed=None, log_path=None,
                  **config_overrides) -> Harness:
@@ -129,18 +146,9 @@ def boot_harness(faults: mk.FaultProfile = mk.FaultProfile(), *,
     threading.Thread(target=mock_server.serve_forever,
                      kwargs={"poll_interval": 0.02}, daemon=True).start()
     mock_port = mock_server.server_address[1]
-
-    cfg = GatewayConfig(
-        listen_address="127.0.0.1:0",
-        upstream_base_url=f"http://127.0.0.1:{mock_port}",
-        model_path=keystone_fixture_path(),
-        log_path=log_path,
-        **config_overrides,
+    gateway, gateway_server = boot_gateway(
+        f"http://127.0.0.1:{mock_port}", log_path=log_path, **config_overrides
     )
-    gateway = build_gateway(cfg)
-    gateway_server = make_server(gateway)
-    threading.Thread(target=gateway_server.serve_forever,
-                     kwargs={"poll_interval": 0.02}, daemon=True).start()
 
     return Harness(
         store=store,
@@ -169,6 +177,104 @@ def harness_factory():
 @pytest.fixture
 def harness(harness_factory):
     return harness_factory()
+
+
+class RawUpstream:
+    """A scripted upstream on a raw socket.  Each request it reads is
+    logged in ``requests`` and answered with the bytes ``respond(method,
+    target)`` returns, sent as they are; None leaves it unanswered.  Unless
+    ``keep_alive``, the connection is closed after each reply; ``respond``
+    may also return a (bytes, close) pair to decide per reply."""
+
+    def __init__(self, respond, keep_alive: bool = False):
+        self.respond = respond
+        self.keep_alive = keep_alive
+        self.requests: list[tuple[str, str]] = []
+        self.accepted = 0
+        self._conns: list[socket.socket] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            self._conns.append(conn)
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        buf = b""
+        try:
+            while True:
+                while b"\r\n\r\n" not in buf:
+                    data = conn.recv(65536)
+                    if not data:
+                        return
+                    buf += data
+                head, _, buf = buf.partition(b"\r\n\r\n")
+                lines = head.decode("latin-1").split("\r\n")
+                method, target, _ = lines[0].split(" ")
+                length = sum(int(line.split(":", 1)[1]) for line in lines[1:]
+                             if line.lower().startswith("content-length:"))
+                while len(buf) < length:
+                    buf += conn.recv(65536)
+                buf = buf[length:]
+                self.requests.append((method, target))
+                reply = self.respond(method, target)
+                if reply is None:
+                    continue
+                close = not self.keep_alive
+                if isinstance(reply, tuple):
+                    reply, close = reply
+                conn.sendall(reply)
+                if close:
+                    return
+        except OSError:
+            return
+        finally:
+            conn.close()
+
+    def close(self) -> None:
+        self._listener.close()
+        for conn in self._conns:
+            conn.close()
+
+
+@pytest.fixture
+def raw_upstream():
+    """Factory for RawUpstream instances, closed after the test."""
+    created = []
+
+    def factory(respond, keep_alive=False):
+        created.append(RawUpstream(respond, keep_alive))
+        return created[-1]
+
+    yield factory
+    for upstream in created:
+        upstream.close()
+
+
+@pytest.fixture
+def raw_gateway():
+    """Factory for a gateway (built and served) in front of a given
+    upstream URL; returns the Gateway, closed after the test."""
+    created = []
+
+    def factory(upstream_url, **config_overrides):
+        gateway, server = boot_gateway(upstream_url, **config_overrides)
+        created.append((gateway, server))
+        return gateway
+
+    yield factory
+    for gateway, server in created:
+        server.shutdown()
+        server.server_close()
+        gateway.monitor.upstream.close()
+        gateway.violation_log.close()
 
 
 @pytest.fixture(scope="session")

@@ -254,6 +254,168 @@ class TestRequestFraming:
         assert reply.count(b"HTTP/1.1 201 ") == 2
 
 
+def _raw_session(port: int, request: bytes) -> bytes:
+    """Send raw bytes, half-close the connection and read until the gateway
+    closes it: every response the bytes produced."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+class TestStrictHeaderBlock:
+    """The edge reads its own request line and header block.  Anything it
+    cannot frame is refused with one response and a closed connection, and
+    nothing reaches the upstream."""
+
+    def _refused(self, harness, request: bytes, status: int) -> bytes:
+        before = len(harness.service.request_log)
+        reply = _raw_exchange(harness.port, request)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert json.loads(reply.partition(b"\r\n\r\n")[2])["error"]
+        assert len(harness.service.request_log) == before
+        return reply
+
+    def test_line_without_colon_does_not_smuggle_the_body(self, harness):
+        """Before, the stdlib parser stopped at the bad line, lost the
+        Content-Length after it and read the body as a second request."""
+        smuggled = b"GET /v3/roles HTTP/1.1\r\nHost: gw\r\n\r\n"
+        self._refused(
+            harness,
+            b"POST /v3/auth/tokens HTTP/1.1\r\nHost: gw\r\nbogus line\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(smuggled), smuggled),
+            400,
+        )
+
+    def test_bare_cr_in_a_value_does_not_drop_later_headers(self, harness):
+        token = harness.authenticate("admin", "secret").encode()
+        self._refused(
+            harness,
+            b"DELETE /v3/users/u-alice HTTP/1.1\r\nHost: gw\r\nX-Note: a\rb\r\n"
+            b"X-Auth-Token: " + token + b"\r\n\r\n",
+            400,
+        )
+        assert "u-alice" in harness.store.users
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"X-Folded: a\r\n  b\r\n",  # obs-fold
+            b"X-Space : a\r\n",  # whitespace before the colon
+            b": a\r\n",  # empty name
+            b"X-Nul: a\x00b\r\n",
+            b"X-Bare-Lf: a\nX-Next: b\r\n",
+        ],
+    )
+    def test_malformed_field_is_400(self, harness, line):
+        self._refused(
+            harness,
+            b"POST /v3/auth/tokens HTTP/1.1\r\nHost: gw\r\n" + line
+            + b"Content-Length: 0\r\n\r\n",
+            400,
+        )
+
+    def test_more_than_100_fields_is_431(self, harness):
+        fields = b"".join(b"X-F%d: v\r\n" % i for i in range(100))
+        reply = _raw_exchange(harness.port, b"GET /healthz HTTP/1.0\r\n" + fields + b"\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        self._refused(
+            harness, b"GET /healthz HTTP/1.1\r\n" + fields + b"X-F100: v\r\n\r\n", 431
+        )
+
+    def test_line_over_65536_bytes_is_431(self, harness):
+        line = b"X-Long: " + b"a" * (65537 - len(b"X-Long: "))
+        self._refused(harness, b"GET /healthz HTTP/1.1\r\n" + line, 431)
+
+    @pytest.mark.parametrize(
+        "request_line, status",
+        [
+            (b"GET /healthz HTTP/2.0\r\n", 505),
+            (b"PRI * HTTP/2.0\r\n", 505),
+            (b"GET /healthz\r\n", 400),
+            (b"GET  /healthz HTTP/1.1\r\n", 400),
+            (b"GET /health z HTTP/1.1\r\n", 400),
+            (b"GET /healthz HTTP/0.9\r\n", 400),
+            (b"GET /healthz http/1.1\r\n", 400),
+        ],
+    )
+    def test_bad_request_line(self, harness, request_line, status):
+        self._refused(harness, request_line + b"Host: gw\r\n\r\n", status)
+
+    def test_body_shorter_than_its_length_is_400(self, harness):
+        login = json.dumps(password_body("admin", "secret")).encode()
+        reply = _raw_session(
+            harness.port,
+            b"POST /v3/auth/tokens HTTP/1.1\r\nHost: gw\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(login) + 10, login),
+        )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert harness.service.side_effect_count() == 0
+
+    def test_expect_100_continue(self, harness):
+        login = json.dumps(password_body("admin", "secret")).encode()
+        with socket.create_connection(("127.0.0.1", harness.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /v3/auth/tokens HTTP/1.1\r\nHost: gw\r\n"
+                b"Expect: 100-continue\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(login)
+            )
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(login)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 201 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_no_100_continue_for_a_body_that_is_refused(self, harness):
+        reply = self._refused(
+            harness,
+            b"POST /v3/auth/tokens HTTP/1.1\r\nHost: gw\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+            413,
+        )
+        assert b" 100 " not in reply
+
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            (b"OPTIONS /v3/users HTTP/1.1\r\nHost: gw\r\n\r\n", 501),
+            (b"GET /" + b"a" * (65537 - len(b"GET /")), 414),  # a 65537-byte line
+        ],
+    )
+    def test_stdlib_refusals_take_the_same_shape(self, harness, raw, status):
+        self._refused(harness, raw, status)
+
+    def test_http_1_0_closes(self, harness):
+        reply = _raw_exchange(harness.port, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_pipelined_requests_are_answered_in_order(self, harness):
+        reply = _raw_exchange(
+            harness.port,
+            b"GET /healthz HTTP/1.1\r\nHost: gw\r\n\r\n"
+            b"GET /contracts HTTP/1.1\r\nHost: gw\r\nConnection: close\r\n\r\n",
+        )
+        first, second = reply.split(b"HTTP/1.1 200 OK\r\n")[1:]
+        assert b"model_sha256" in first
+        assert b"contract DELETE /v3/users/{user_id}" in second
+
+    def test_leading_slashes_collapse(self, harness):
+        reply = _raw_exchange(
+            harness.port, b"GET //healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        assert reply.startswith(b"HTTP/1.1 200 ")
+
+
 class TestConcurrency:
     def test_parallel_gets_all_succeed(self, harness):
         import concurrent.futures

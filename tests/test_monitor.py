@@ -16,13 +16,15 @@ from contractgate.monitor import (
     HttpUpstream,
     MonitorVariables,
     RequestContext,
+    Resolver,
     Snapshot,
     UpstreamError,
+    UpstreamResponse,
     json_search,
     json_to_value,
     json_walk,
 )
-from conftest import password_body, token_body
+from conftest import http_call, password_body, token_body
 
 
 class TestJsonHelpers:
@@ -272,6 +274,265 @@ class TestHttpUpstream:
         head = received[0].split(b"\r\n\r\n")[0].lower()
         assert head.count(b"\r\ncontent-length:") == 1
         assert b"\r\ncontent-length: 2" in head
+
+
+OK_REPLY = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
+MALFORMED_REPLIES = {
+    "differing lengths": b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}",
+    "line without colon": b"HTTP/1.1 200 OK\r\nbogus line\r\nContent-Length: 2\r\n\r\n{}",
+    "obs-fold": b"HTTP/1.1 200 OK\r\nX-A: 1\r\n folded\r\nContent-Length: 2\r\n\r\n{}",
+    "bare CR": b"HTTP/1.1 200 OK\r\nX-A: 1\r2\r\nContent-Length: 2\r\n\r\n{}",
+    "truncated body": b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}",
+    "truncated chunk": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{}",
+    "other coding": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n0\r\n\r\n",
+    "no status line": b"{}",
+}
+
+
+class TestUpstreamFraming:
+    """Replies are framed by RFC 9112 section 6.3; one the gateway cannot
+    frame is an unusable reply: 504 on a forward, Invalid on a probe."""
+
+    def test_chunked_reply_is_relayed_with_one_length(self, raw_upstream, raw_gateway):
+        upstream = raw_upstream(lambda method, target: (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"5;note=1\r\n{\"use\r\n8\r\nrs\": []}\r\n0\r\nX-Trailer: t\r\n\r\n"
+        ))
+        gateway = raw_gateway(upstream.url)
+        status, headers, body = http_call(gateway.port, "GET", "/v3/users")
+        assert status == 200
+        assert body == b'{"users": []}'
+        names = [name.lower() for name, _ in headers]
+        assert names.count("content-length") == 1
+        assert "transfer-encoding" not in names and "x-trailer" not in names
+
+    def test_reply_without_length_is_read_to_close_and_not_pooled(self, raw_upstream):
+        upstream = raw_upstream(lambda method, target: b"HTTP/1.1 200 OK\r\n\r\n{\"a\": 1}")
+        client = HttpUpstream(upstream.url, timeout_s=2.0)
+        try:
+            assert [client.request("GET", "/v3/users").body for _ in range(2)] == [
+                b'{"a": 1}', b'{"a": 1}'
+            ]
+        finally:
+            client.close()
+        assert upstream.accepted == 2
+
+    def test_head_and_204_have_no_body_and_keep_the_connection(self, raw_upstream):
+        replies = {
+            "HEAD": b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n",
+            "DELETE": b"HTTP/1.1 204 No Content\r\n\r\n",
+            "GET": OK_REPLY,
+        }
+        upstream = raw_upstream(lambda method, target: replies[method], keep_alive=True)
+        client = HttpUpstream(upstream.url, timeout_s=2.0)
+        try:
+            got = [
+                (r.status, r.body)
+                for r in (client.request(m, "/v3/users/u-x") for m in ("HEAD", "DELETE", "GET"))
+            ]
+        finally:
+            client.close()
+        assert got == [(200, b""), (204, b""), (200, b"{}")]
+        assert upstream.accepted == 1
+
+    def test_interim_100_is_skipped(self, raw_upstream):
+        upstream = raw_upstream(lambda method, target: (
+            b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 201 Created\r\nContent-Length: 2\r\n\r\n{}"
+        ))
+        client = HttpUpstream(upstream.url, timeout_s=2.0)
+        try:
+            response = client.request("POST", "/v3/auth/tokens", [], b"{}")
+        finally:
+            client.close()
+        assert (response.status, response.body) == (201, b"{}")
+
+    def test_equal_duplicate_lengths_are_accepted(self, raw_upstream):
+        upstream = raw_upstream(lambda method, target: (
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2, 2\r\n\r\n{}"
+        ))
+        client = HttpUpstream(upstream.url, timeout_s=2.0)
+        try:
+            assert client.request("GET", "/v3/users").body == b"{}"
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("reply", MALFORMED_REPLIES.values(), ids=MALFORMED_REPLIES)
+    def test_malformed_reply_to_a_forward_is_504(self, raw_upstream, raw_gateway, reply):
+        upstream = raw_upstream(lambda method, target: reply)
+        gateway = raw_gateway(upstream.url, upstream_timeout_ms=2000)
+        status, _, body = http_call(gateway.port, "GET", "/v3/users")
+        assert status == 504
+        assert json.loads(body) == {"error": "upstream unreachable"}
+
+    @pytest.mark.parametrize("reply", MALFORMED_REPLIES.values(), ids=MALFORMED_REPLIES)
+    def test_malformed_reply_to_a_probe_is_invalid(self, raw_upstream, raw_gateway, reply):
+        upstream = raw_upstream(lambda method, target: reply)
+        monitor = raw_gateway(upstream.url, probe_timeout_ms=2000).monitor
+        ctx = RequestContext.build("DELETE", "/v3/users/u-alice", {"X-Auth-Token": "t"}, b"")
+        resolver = Resolver(monitor, ctx, "pre", None)
+        assert resolver(E.parse_expression("user.id").path) is E.INVALID
+        assert upstream.requests[0] == ("GET", "/v3/users/u-alice")
+
+    @pytest.mark.parametrize("reply", MALFORMED_REPLIES.values(), ids=MALFORMED_REPLIES)
+    def test_delete_on_a_pooled_connection_is_never_resent(self, raw_upstream, reply):
+        upstream = raw_upstream(
+            lambda method, target: OK_REPLY if method == "GET" else reply, keep_alive=True
+        )
+        client = HttpUpstream(upstream.url, timeout_s=2.0)
+        try:
+            assert client.request("GET", "/v3/users/u-alice").status == 200
+            with pytest.raises(UpstreamError):  # a truncated reply times out
+                client.request("DELETE", "/v3/users/u-alice", timeout_s=0.2)
+        finally:
+            client.close()
+        assert upstream.requests == [("GET", "/v3/users/u-alice"), ("DELETE", "/v3/users/u-alice")]
+
+    def test_bytes_past_the_reply_are_not_handed_to_the_next_request(self, raw_upstream):
+        """A reply longer than its Content-Length leaves the connection out
+        of the pool: the stray bytes would be read as the next reply."""
+        upstream = raw_upstream(
+            lambda method, target: OK_REPLY + b"HTTP/1.1 204 No Content\r\n\r\n",
+            keep_alive=True,
+        )
+        client = HttpUpstream(upstream.url, timeout_s=2.0)
+        try:
+            statuses = [client.request("GET", "/v3/users").status for _ in range(2)]
+        finally:
+            client.close()
+        assert statuses == [200, 200]
+        assert upstream.accepted == 2
+
+    @pytest.mark.parametrize(
+        "path, headers",
+        [
+            ("/v3/users /x", []),
+            ("/v3/users\r\nX-Evil: 1", []),
+            ("/v3/users", [("X-Auth-Token", "t\r\nX-Evil: 1")]),
+            ("/v3/users", [("X-Auth-Token", "t\x00")]),
+            ("/v3/users", [("X Bad", "t")]),
+            ("/v3/users", [("X-Auth-Token", "t\u20ac")]),  # not latin-1
+        ],
+    )
+    def test_unsafe_request_is_refused_unsent(self, raw_upstream, path, headers):
+        upstream = raw_upstream(lambda method, target: OK_REPLY)
+        client = HttpUpstream(upstream.url, timeout_s=2.0)
+        with pytest.raises(UpstreamError):
+            client.request("GET", path, headers)
+        assert upstream.accepted == 0
+
+    def test_request_is_one_write_with_one_length(self, raw_upstream, monkeypatch):
+        writes = []
+        sendall = socket.socket.sendall
+
+        upstream = raw_upstream(lambda method, target: OK_REPLY)
+        port = int(upstream.url.rpartition(":")[2])
+
+        def recording_sendall(sock, data, *args):
+            if sock.getpeername()[1] == port:  # the client's writes only
+                writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        client = HttpUpstream(upstream.url, timeout_s=2.0)
+        monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+        try:
+            client.request(
+                "PUT", "/v3/x", [("Host", "evil"), ("Connection", "close"),
+                                 ("Content-Length", "9"), ("X-A", "1")], b"{}"
+            )
+        finally:
+            monkeypatch.undo()
+            client.close()
+        assert len(writes) == 1
+        head, _, body = writes[0].partition(b"\r\n\r\n")
+        assert body == b"{}"
+        assert head.split(b"\r\n") == [
+            b"PUT /v3/x HTTP/1.1",
+            b"Host: " + upstream.url.removeprefix("http://").encode(),
+            b"X-A: 1",
+            b"Accept-Encoding: identity",
+            b"Content-Length: 2",
+        ]
+
+
+class TestRequestDeadline:
+    def test_stalled_probes_share_one_deadline(self, raw_upstream, raw_gateway):
+        """Each probe gets the probe timeout or the time left, whichever is
+        less: two stalled probes end after the 0.5 s upstream timeout, not
+        after two 0.4 s probe timeouts."""
+        upstream = raw_upstream(lambda method, target: None)
+        monitor = raw_gateway(
+            upstream.url, probe_timeout_ms=400, upstream_timeout_ms=500
+        ).monitor
+        ctx = RequestContext.build("DELETE", "/v3/users/u-alice", {"X-Auth-Token": "t"}, b"")
+        started = time.monotonic()
+        result = monitor.handle(ctx, b"")
+        elapsed = time.monotonic() - started
+        assert result.status == 412
+        assert [m for m, _ in upstream.requests] == ["GET", "GET"]
+        assert 0.45 <= elapsed < 0.7
+
+    def test_no_time_left_sends_nothing(self, raw_upstream):
+        upstream = raw_upstream(lambda method, target: OK_REPLY)
+        client = HttpUpstream(upstream.url, timeout_s=2.0)
+        for timeout in (0.0, -1.0):
+            with pytest.raises(UpstreamError):
+                client.request("DELETE", "/v3/users/u-alice", timeout_s=timeout)
+        assert upstream.accepted == 0
+
+    def test_trickled_reply_ends_at_the_limit(self):
+        """A reply still arriving a byte at a time when the call's time is
+        up is late: each wait is short, but the whole read is bounded."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        stop = threading.Event()
+
+        def trickle():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n")
+                while not stop.wait(0.05):
+                    conn.sendall(b"x")
+
+        server = threading.Thread(target=trickle, daemon=True)
+        server.start()
+        client = HttpUpstream(f"http://127.0.0.1:{listener.getsockname()[1]}")
+        started = time.monotonic()
+        try:
+            with pytest.raises(UpstreamError):
+                client.request("GET", "/v3/users", timeout_s=0.4)
+            elapsed = time.monotonic() - started
+        finally:
+            stop.set()
+            server.join(timeout=5)
+            listener.close()
+        assert elapsed < 1.0  # 100 bytes at 20 per second take 5 s
+
+    def test_forward_gets_the_time_left(self, raw_upstream, raw_gateway):
+        upstream = raw_upstream(lambda method, target: None)
+        monitor = raw_gateway(upstream.url, upstream_timeout_ms=300).monitor
+        ctx = RequestContext.build("GET", "/v3/users", {}, b"")
+        ctx.deadline = time.monotonic() + 60  # replaced by handle's own
+        started = time.monotonic()
+        assert monitor.handle(ctx, b"").status == 504
+        assert time.monotonic() - started < 0.6
+
+
+class TestUpstreamResponseJson:
+    def test_decoded_once(self, monkeypatch):
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+        response = UpstreamResponse(200, [], b'{"a": 1}')
+        assert response.json() == {"a": 1}
+        assert response.json() is response.json()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("body", [b"", b"<html>", b"\xff\xfe"])
+    def test_not_json_is_none(self, body):
+        response = UpstreamResponse(200, [], body)
+        assert response.json() is None
+        assert response.json() is None
 
 
 class TestRecordTimings:
