@@ -14,7 +14,9 @@ unconditional rules are conjoined to both sides (the double check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 from . import expr as E
 from .model import BehavioralModel, SecurityRule, Transition
@@ -25,24 +27,56 @@ class UnmodeledMethodError(LookupError):
 
 
 @dataclass(frozen=True)
-class Contract:
-    method: str
-    uri_template: str
-    pre: E.Expression
-    post: E.Expression
-    snapshot_paths: frozenset[E.Path] = field(default_factory=frozenset)
+class Check:
+    """A top-level conjunct lowered for diagnosis.  A postcondition
+    implication also keeps its antecedent and its consequent's conjuncts."""
 
-    @property
-    def id(self) -> str:
-        return f"{self.method} {self.uri_template}"
+    text: str
+    expr: E.Expression
+    antecedent: Optional[E.Expression] = None
+    consequent: tuple["Check", ...] = ()
+
+
+def _lower(e: E.Expression, split_implications: bool) -> tuple[Check, ...]:
+    return tuple(
+        Check(E.to_text(c), c, c.left, _lower(c.right, False))
+        if split_implications and isinstance(c, E.Implies)
+        else Check(E.to_text(c), c)
+        for c in E.conjuncts(e)
+    )
 
 
 _SNAPSHOT_NAMESPACES = (E.Namespace.RESOURCE, E.Namespace.REQUEST, E.Namespace.SELF)
 
 
-def _snapshot_paths(pre: E.Expression, post: E.Expression) -> frozenset[E.Path]:
-    paths = E.free_paths(pre) | E.antecedent_paths(post)
-    return frozenset(p for p in paths if p.namespace in _SNAPSHOT_NAMESPACES)
+@dataclass(frozen=True)
+class Contract:
+    """A method's contract.  What follows from ``pre`` and ``post`` alone is
+    computed once per contract, on first use."""
+
+    method: str
+    uri_template: str
+    pre: E.Expression
+    post: E.Expression
+
+    @property
+    def id(self) -> str:
+        return f"{self.method} {self.uri_template}"
+
+    @cached_property
+    def snapshot_paths(self) -> tuple[E.Path, ...]:
+        """The paths to capture before execution, in text order."""
+        paths = E.free_paths(self.pre) | E.antecedent_paths(self.post)
+        kept = [p for p in paths if p.namespace in _SNAPSHOT_NAMESPACES]
+        return tuple(sorted(kept, key=str))
+
+    @cached_property
+    def pre_checks(self) -> tuple[Check, ...]:
+        return _lower(self.pre, split_implications=False)
+
+    @cached_property
+    def post_checks(self) -> tuple[Check, ...]:
+        return _lower(self.post, split_implications=True)
 
 
 def _actor_predicate(role: str) -> E.Expression:
@@ -73,15 +107,7 @@ def derive_functional_contract(
         pre_terms.append(E.elide_true(pre_term))
         post_terms.append(E.elide_true(E.Implies(firing, consequent)))
 
-    pre = E.disjoin(pre_terms)
-    post = E.conjoin(post_terms)
-    return Contract(
-        method=method,
-        uri_template=uri_template,
-        pre=pre,
-        post=post,
-        snapshot_paths=_snapshot_paths(pre, post),
-    )
+    return Contract(method, uri_template, E.disjoin(pre_terms), E.conjoin(post_terms))
 
 
 def _firing_condition(t: Transition, bm: BehavioralModel) -> E.Expression:
@@ -119,13 +145,7 @@ def merge_security_rules(c: Contract, rules: list[SecurityRule]) -> Contract:
             pre = E.And(pre, r.rule_expr)
             post = E.And(post, r.rule_expr)
 
-    return Contract(
-        method=c.method,
-        uri_template=c.uri_template,
-        pre=pre,
-        post=post,
-        snapshot_paths=_snapshot_paths(pre, post),
-    )
+    return Contract(c.method, c.uri_template, pre, post)
 
 
 def derive_contracts(bm: BehavioralModel, rules: list[SecurityRule]) -> list[Contract]:

@@ -52,12 +52,8 @@ class Path:
 
 def make_path(segments: list[str]) -> Path:
     head = segments[0]
-    if head == "request":
-        return Path(Namespace.REQUEST, tuple(segments[1:]))
-    if head == "response":
-        return Path(Namespace.RESPONSE, tuple(segments[1:]))
-    if head == "self":
-        return Path(Namespace.SELF, tuple(segments[1:]))
+    if head in ("request", "response", "self"):
+        return Path(Namespace(head), tuple(segments[1:]))
     return Path(Namespace.RESOURCE, (head.lower(),) + tuple(segments[1:]))
 
 
@@ -268,7 +264,8 @@ class _Token:
     offset: int
 
 
-_KEYWORDS = {"and", "or", "not", "True", "False", "clockTime"}
+_PUNCTUATION = {"(": "lparen", ")": "rparen", ".": "dot"}
+_CONSTANTS = {"True": LIT_TRUE, "False": LIT_FALSE, "clockTime": CLOCK_TIME}
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -280,11 +277,8 @@ def _tokenize(src: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c == "(":
-            tokens.append(_Token("lparen", "(", i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("rparen", ")", i))
+        if c in _PUNCTUATION:
+            tokens.append(_Token(_PUNCTUATION[c], c, i))
             i += 1
         elif src.startswith("==>", i):
             tokens.append(_Token("op", "==>", i))
@@ -297,9 +291,6 @@ def _tokenize(src: str) -> list[_Token]:
             i += 2
         elif c in "=<>":
             tokens.append(_Token("op", c, i))
-            i += 1
-        elif c == ".":
-            tokens.append(_Token("dot", ".", i))
             i += 1
         elif c == "'":
             j = src.find("'", i + 1)
@@ -399,15 +390,9 @@ class _Parser:
             self.advance()
             return Literal(tok.value)
         if tok.kind == "ident":
-            if tok.value == "True":
+            if tok.value in _CONSTANTS:
                 self.advance()
-                return LIT_TRUE
-            if tok.value == "False":
-                self.advance()
-                return LIT_FALSE
-            if tok.value == "clockTime":
-                self.advance()
-                return CLOCK_TIME
+                return _CONSTANTS[tok.value]
             if tok.value in ("and", "or", "not"):
                 raise self.fail({"term"})
             return self.parse_path_term()
@@ -459,12 +444,7 @@ def parse_expression(src: str) -> Expression:
 # ---------------------------------------------------------------------------
 # Printer
 
-_PREC = {Implies: 1, Or: 2, And: 3, Not: 4}
-_ATOM_PREC = 5
-
-
-def _prec(e: Expression) -> int:
-    return _PREC.get(type(e), _ATOM_PREC)
+_ATOM_PREC = 5  # binding strength: ==> 1, or 2, and 3, not 4, any other node 5
 
 
 def to_text(e: Expression) -> str:
@@ -473,46 +453,32 @@ def to_text(e: Expression) -> str:
 
 
 def _print(e: Expression, parent: int) -> str:
+    """``e`` printed, in parentheses when it binds more loosely than
+    ``parent``; ==> groups to the right, and/or to the left."""
+    prec = _ATOM_PREC
     if isinstance(e, Implies):
-        s = f"{_print(e.left, 2)} ==> {_print(e.right, 1)}"
-        prec = 1
+        prec, s = 1, f"{_print(e.left, 2)} ==> {_print(e.right, 1)}"
     elif isinstance(e, Or):
-        s = f"{_print(e.left, 2)} or {_print(e.right, 3)}"
-        prec = 2
+        prec, s = 2, f"{_print(e.left, 2)} or {_print(e.right, 3)}"
     elif isinstance(e, And):
-        s = f"{_print(e.left, 3)} and {_print(e.right, 4)}"
-        prec = 3
+        prec, s = 3, f"{_print(e.left, 3)} and {_print(e.right, 4)}"
     elif isinstance(e, Not):
-        s = f"not {_print(e.operand, 4)}"
-        prec = 4
+        prec, s = 4, f"not {_print(e.operand, 4)}"
     elif isinstance(e, Compare):
-        s = f"{_print(e.left, _ATOM_PREC)}{e.op}{_print(e.right, _ATOM_PREC)}"
-        prec = _ATOM_PREC
+        s = f"{_print(e.left, prec)}{e.op}{_print(e.right, prec)}"
     elif isinstance(e, SizeOf):
         s = f"{e.path}->size()"
-        prec = _ATOM_PREC
     elif isinstance(e, IsInvalid):
         s = f"{e.path}.oclIsInvalid()"
-        prec = _ATOM_PREC
     elif isinstance(e, PathRef):
         s = str(e.path)
-        prec = _ATOM_PREC
-    elif isinstance(e, Literal):
-        if isinstance(e.value, bool):
-            s = "True" if e.value else "False"
-        elif isinstance(e.value, int):
-            s = str(e.value)
-        else:
-            s = f"'{e.value}'"
-        prec = _ATOM_PREC
+    elif isinstance(e, Literal):  # True, False, an integer or a quoted string
+        s = f"'{e.value}'" if isinstance(e.value, str) else str(e.value)
     elif isinstance(e, ClockTime):
         s = "clockTime"
-        prec = _ATOM_PREC
     else:
         raise TypeError(f"unknown expression node {e!r}")
-    if prec < parent:
-        return f"({s})"
-    return s
+    return f"({s})" if prec < parent else s
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ log = logging.getLogger(__name__)
 
 ENV_PREFIX = "CONTRACTGATE_"
 MAX_BODY_BYTES = 1 << 20  # longer request bodies are refused (413) unread
+CLIENT_TIMEOUT_S = 60.0  # a client connection idle or stalled this long is closed
 _REQUEST_LINE = re.compile(
     rb"(" + TOKEN.pattern + rb") ([!-~]+) HTTP/([0-9])\.([0-9])\r\n"
 )  # METHOD SP target (visible ASCII) SP HTTP-version CRLF
@@ -223,6 +224,7 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
 
 class _GatewayHandler(OneWriteHandler):
     gateway: Gateway = None  # bound by make_server
+    timeout = CLIENT_TIMEOUT_S  # the stdlib closes the connection on TimeoutError
 
     def parse_request(self) -> bool:
         """Read the request line and the header block strictly, in place of

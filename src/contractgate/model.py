@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import expr as E
@@ -152,6 +153,11 @@ class RouteEntry:
     definition: str
     allowed_methods: frozenset[str]
 
+    @cached_property
+    def segments(self) -> tuple[str, ...]:
+        """The template's non-empty segments, split once."""
+        return tuple(s for s in self.uri_template.split("/") if s)
+
 
 @dataclass(frozen=True)
 class RouteTable:
@@ -163,18 +169,15 @@ class RouteTable:
         the path, and empty segments are ignored."""
         segments = [s for s in path.split("?", 1)[0].split("/") if s]
         for entry in self.entries:
-            template_segments = [s for s in entry.uri_template.split("/") if s]
-            if len(template_segments) != len(segments):
+            if len(entry.segments) != len(segments):
                 continue
             params: dict[str, str] = {}
-            ok = True
-            for tseg, seg in zip(template_segments, segments):
+            for tseg, seg in zip(entry.segments, segments):
                 if tseg.startswith("{") and tseg.endswith("}"):
                     params[tseg[1:-1]] = seg
                 elif tseg != seg:
-                    ok = False
                     break
-            if ok:
+            else:
                 return entry, params
         return None
 
@@ -335,27 +338,17 @@ def load_model(
             m = _RULE_RE.match(rest)
             if not m:
                 raise ModelError(f"malformed rule line: {stripped!r}", lineno)
-            if m.group("always") is not None:
-                rules.append(
-                    SecurityRule(
-                        id=m.group("id"),
-                        http_method=m.group("method"),
-                        uri_template=m.group("uri"),
-                        kind="unconditional",
-                        rule_expr=_parse(m.group("always"), lineno),
-                    )
+            rules.append(
+                SecurityRule(
+                    id=m.group("id"),
+                    http_method=m.group("method"),
+                    uri_template=m.group("uri"),
+                    kind="conditional" if m.group("always") is None else "unconditional",
+                    if_expr=_parse(m.group("if"), lineno),
+                    then_expr=_parse(m.group("then"), lineno),
+                    rule_expr=_parse(m.group("always"), lineno),
                 )
-            else:
-                rules.append(
-                    SecurityRule(
-                        id=m.group("id"),
-                        http_method=m.group("method"),
-                        uri_template=m.group("uri"),
-                        kind="conditional",
-                        if_expr=_parse(m.group("if"), lineno),
-                        then_expr=_parse(m.group("then"), lineno),
-                    )
-                )
+            )
         elif keyword == "bind":
             finish_resource()
             m = _BIND_RE.match(rest)
@@ -399,7 +392,10 @@ def load_model(
     return rm, bm, rules
 
 
-def _parse(src: str, lineno: int) -> E.Expression:
+def _parse(src: Optional[str], lineno: int) -> Optional[E.Expression]:
+    """The expression ``src``; None when there is no ``src``."""
+    if src is None:
+        return None
     try:
         return E.parse_expression(src)
     except E.ExprSyntaxError as exc:
@@ -421,53 +417,6 @@ def _dangling_references(rm: ResourceModel, bm: BehavioralModel) -> list[str]:
         if t.target not in state_names:
             out.append(t.target)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Serialization (round-trips through load_model)
-
-
-def serialize_model(
-    rm: ResourceModel, bm: BehavioralModel, rules: list[SecurityRule]
-) -> str:
-    lines: list[str] = []
-    ordered = [d for d in rm.definitions if d.name == rm.root]
-    ordered += [d for d in rm.definitions if d.name != rm.root]
-    for d in ordered:
-        flag = " collection" if d.is_collection and not d.name.startswith("collection_") else ""
-        lines.append(f"resource {d.name}{flag}")
-        for attr in d.attributes:
-            marker = " id" if d.id_attribute == attr.name else ""
-            lines.append(f"  attr {attr.name}: {attr.type}{marker}")
-    for a in rm.associations:
-        card = f" {a.min_card}..{'*' if a.max_card == UNBOUNDED else a.max_card}"
-        lines.append(f"assoc {a.source} -> {a.target} as {a.role_name}{card}")
-    for b in rm.bindings:
-        lines.append(f"bind {b.path} from {b.source} {'.'.join(b.json_path)}")
-    for s in bm.states:
-        lines.append(f"state {s.name}: {E.to_text(s.invariant)}")
-    for t in bm.transitions:
-        parts = [
-            f"transition {t.id}: {t.source} -> {t.target} on {t.http_method} {t.uri_template}"
-        ]
-        if t.guard is not None:
-            parts.append(f"guard: {E.to_text(t.guard)}")
-        if t.effect is not None:
-            parts.append(f"effect: {E.to_text(t.effect)}")
-        if t.actor_role:
-            parts.append(f"actor: {t.actor_role}")
-        lines.append(" ".join(parts))
-    for r in rules:
-        if r.kind == "unconditional":
-            lines.append(
-                f"rule {r.id} on {r.http_method} {r.uri_template}: always {E.to_text(r.rule_expr)}"
-            )
-        else:
-            lines.append(
-                f"rule {r.id} on {r.http_method} {r.uri_template}: "
-                f"if {E.to_text(r.if_expr)} then {E.to_text(r.then_expr)}"
-            )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from typing import Optional
 from urllib.parse import urlsplit
 
 from . import expr as E
-from .contracts import Contract
+from .contracts import Check, Contract
 from .httpreply import TOKEN, FramingError, SocketReader, read_reply
-from .model import ResourceModel, RouteTable
+from .model import ResourceModel, RouteEntry, RouteTable
 
 HOP_BY_HOP = {
     "connection",
@@ -38,7 +38,8 @@ HOP_BY_HOP = {
 POOL_SIZE = 8  # idle kept-alive connections per upstream
 _TARGET = re.compile(r"[!-~]+")  # no whitespace or control character
 _CR_LF_NUL = re.compile(r"[\r\n\x00]")
-_UNREAD = object()
+_UNSET = object()
+Failed = list[tuple[str, E.TriBool]]  # failing conjuncts' texts and values, in order
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +55,7 @@ class UpstreamResponse:
     status: int
     headers: list[tuple[str, str]]
     body: bytes
-    _doc: object = field(default=_UNREAD, init=False, repr=False, compare=False)
+    _doc: object = field(default=_UNSET, init=False, repr=False, compare=False)
 
     def header(self, name: str) -> Optional[str]:
         lowered = name.lower()
@@ -66,7 +67,7 @@ class UpstreamResponse:
     def json(self) -> Optional[object]:
         """The body parsed as JSON, or None when it is empty or not JSON.
         Parsed once: every caller gets the same object, to read only."""
-        if self._doc is _UNREAD:
+        if self._doc is _UNSET:
             self._doc = None
             if self.body:
                 try:
@@ -183,8 +184,11 @@ class HttpUpstream:
                     return None
                 conn = self._idle.pop()
             # an idle socket with something to read was closed by the peer
-            # or holds stray bytes; either way no reply can be read from it
-            if select.select([conn.sock], [], [], 0)[0]:
+            # or holds stray bytes; either way no reply can be read from it.
+            # poll, unlike select, takes descriptors of 1024 and more.
+            readable = select.poll()
+            readable.register(conn.sock, select.POLLIN)
+            if readable.poll(0):
                 conn.close()
                 continue
             conn.sock.settimeout(timeout)
@@ -221,6 +225,9 @@ class RequestContext:
     # time.monotonic() by which every upstream call for the request must
     # end; set by Monitor.handle, None outside it
     deadline: Optional[float] = None
+    # the route ``uri`` matches, as (entry, canonical URI) or None; set once
+    # by Monitor.route
+    route: object = field(default=_UNSET, repr=False, compare=False)
 
     def time_left(self, cap: float) -> float:
         """Seconds an upstream call may take: ``cap``, cut to the time left
@@ -268,8 +275,8 @@ class Snapshot:
 
 @dataclass
 class Verdict:
-    outcome: str  # pass | pre_violation | post_violation | unmodeled_method
-    failed_atoms: list[tuple[str, E.TriBool]] = field(default_factory=list)
+    outcome: str  # pass | pre_violation | post_violation | audit_violation
+    failed_atoms: Failed = field(default_factory=list)
     contract_id: Optional[str] = None
     probe_ms: float = 0.0
     upstream_ms: float = 0.0
@@ -278,6 +285,13 @@ class Verdict:
     @property
     def passed(self) -> bool:
         return self.outcome == "pass"
+
+    @property
+    def phase(self) -> str:
+        """``pre`` or ``post`` for a contract violation, else the outcome."""
+        return {"pre_violation": "pre", "post_violation": "post"}.get(
+            self.outcome, self.outcome
+        )
 
     def failed_json(self) -> list[dict]:
         return [{"expr": text, "value": value.value} for text, value in self.failed_atoms]
@@ -295,11 +309,7 @@ class ViolationRecord:
     def to_json(self) -> dict:
         return {
             "ts": self.timestamp.isoformat(),
-            "phase": {
-                "pre_violation": "pre",
-                "post_violation": "post",
-                "unmodeled_method": "routing",
-            }.get(self.verdict.outcome, self.verdict.outcome),
+            "phase": self.verdict.phase,
             "method": self.method,
             "uri": self.uri,
             "contract": self.verdict.contract_id,
@@ -429,12 +439,9 @@ class Resolver:
         self.upstream_response = upstream_response
         self.probe_ms = 0.0
         self._probes: dict[str, Optional[UpstreamResponse]] = {}
-        matched = monitor.routes.match(ctx.uri)
-        self.route_entry = matched[0] if matched else None
-        # the addressed resource's identity: one key for every alias of its URI
-        self.resource = (
-            matched[0].uri_template.format(**matched[1]) if matched else ctx.uri
-        )
+        route = monitor.route(ctx)
+        self.route_entry = route[0] if route else None
+        self.resource = route[1] if route else ctx.uri
 
     # -- entry point
 
@@ -482,10 +489,7 @@ class Resolver:
         attr_type = attr.type if attr else None
         json_path = (attr_name,) if attr_name else None
 
-        binding = next(
-            (b for b in self.monitor.rm.bindings if b.path.segments == path.segments),
-            None,
-        )
+        binding = self.monitor.bindings.get(path)
         if binding is not None and binding.source == "request":
             return json_to_value(json_walk(self.ctx.body, binding.json_path), attr_type)
         if binding is not None:
@@ -585,8 +589,11 @@ class Monitor:
         state_invariants: Optional[list[tuple[str, E.Expression]]] = None,
     ):
         self.rm = rm
+        self.bindings = {b.path: b for b in reversed(rm.bindings)}  # first wins
         self.routes = routes
         self.contracts = {(c.method, c.uri_template): c for c in contracts}
+        for c in contracts:  # lowered here, at load, not on a request
+            c.snapshot_paths, c.pre_checks, c.post_checks
         self.upstream = upstream
         self.probe_timeout_s = probe_timeout_s
         self.paper_status = paper_status
@@ -601,7 +608,7 @@ class Monitor:
     ) -> tuple[E.Environment, Snapshot]:
         resolver = Resolver(self, ctx, "pre", None)
         env = E.Environment(resolver, now=ctx.arrival_time, phase="pre")
-        bindings = {p: env.lookup(p) for p in sorted(contract.snapshot_paths, key=str)}
+        bindings = {p: env.lookup(p) for p in contract.snapshot_paths}
         return env, Snapshot(bindings=bindings, captured_at=ctx.arrival_time)
 
     def resolve_post_env(
@@ -618,36 +625,22 @@ class Monitor:
 
     # -- checks
 
-    def check_precondition(
-        self, contract: Contract, env: E.Environment
-    ) -> list[tuple[str, E.TriBool]]:
-        """Empty list means pass; otherwise the failing top-level conjuncts."""
-        failed = []
-        for conjunct in E.conjuncts(contract.pre):
-            value = E.evaluate(conjunct, env)
-            if value is not E.TRUE:
-                failed.append((E.to_text(conjunct), value))
-        return failed
+    def check_precondition(self, contract: Contract, env: E.Environment) -> Failed:
+        return _failed_conjuncts(contract.pre_checks, env)
 
-    def check_postcondition(
-        self, contract: Contract, env: E.Environment
-    ) -> list[tuple[str, E.TriBool]]:
-        failed = []
-        for conjunct in E.conjuncts(contract.post):
-            value = E.evaluate(conjunct, env)
-            if value is E.TRUE:
-                continue
-            if isinstance(conjunct, E.Implies):
-                antecedent = E._eval(conjunct.left, env, antecedent=True)
-                if antecedent is E.TRUE:
-                    # name the failing consequent conjuncts for diagnosis
-                    for part in E.conjuncts(conjunct.right):
-                        part_value = E.evaluate(part, env)
-                        if part_value is not E.TRUE:
-                            failed.append((E.to_text(part), part_value))
-                    continue
-            failed.append((E.to_text(conjunct), value))
-        return failed
+    def check_postcondition(self, contract: Contract, env: E.Environment) -> Failed:
+        return _failed_conjuncts(contract.post_checks, env)
+
+    def route(self, ctx: RequestContext) -> Optional[tuple[RouteEntry, str]]:
+        """The route entry ``ctx.uri`` matches and the addressed resource's
+        canonical URI, one key for every alias of its URI; None when no
+        route matches.  Matched once per request."""
+        if ctx.route is _UNSET:
+            matched = self.routes.match(ctx.uri)
+            ctx.route = matched and (
+                matched[0], matched[0].uri_template.format(**matched[1])
+            )
+        return ctx.route
 
     # -- pipeline
 
@@ -657,10 +650,10 @@ class Monitor:
         take the probe timeout or the time left, whichever is less."""
         started = time.monotonic()
         ctx.deadline = started + self.upstream.timeout_s
-        matched = self.routes.match(ctx.uri)
-        if matched is None:
+        route = self.route(ctx)
+        if route is None:
             return _error(404, "no such resource")
-        entry, _ = matched
+        entry, _ = route
         if ctx.method not in entry.allowed_methods:
             allow = ", ".join(sorted(entry.allowed_methods))
             return _error(405, "method not allowed", [("Allow", allow)])
@@ -782,7 +775,7 @@ class Monitor:
             if self.paper_status:
                 status = 404
             else:
-                status = 412 if verdict.outcome == "pre_violation" else 502
+                status = 412 if verdict.phase == "pre" else 502
         record = ViolationRecord(
             timestamp=datetime.now(timezone.utc),
             verdict=verdict,
@@ -792,7 +785,7 @@ class Monitor:
             upstream_status=upstream_status,
         )
         doc = {
-            "phase": "pre" if verdict.outcome == "pre_violation" else "post",
+            "phase": verdict.phase,
             "contract": verdict.contract_id,
             "failed": verdict.failed_json(),
             "request": {"method": ctx.method, "uri": ctx.uri},
@@ -804,6 +797,23 @@ class Monitor:
             verdict=verdict,
             violation=record,
         )
+
+
+def _failed_conjuncts(checks: tuple[Check, ...], env: E.Environment) -> Failed:
+    """The checks that do not hold; empty means pass.  An implication whose
+    antecedent held in the pre-state is named by its failing consequent
+    conjuncts instead."""
+    failed = []
+    for check in checks:
+        value = E.evaluate(check.expr, env)
+        if value is E.TRUE:
+            continue
+        split = check.antecedent is not None
+        if split and E._eval(check.antecedent, env, antecedent=True) is E.TRUE:
+            failed += _failed_conjuncts(check.consequent, env)
+        else:
+            failed.append((check.text, value))
+    return failed
 
 
 def _error(

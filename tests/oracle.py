@@ -1,4 +1,5 @@
-"""Independent oracles and generators used by the unit and acceptance tests.
+"""Independent oracles, references and generators used by the unit and
+acceptance tests.
 
 ``k3_equivalent`` decides whether two contract formulas agree under every
 three-valued assignment of their atoms; it compiles each formula to closures
@@ -14,6 +15,7 @@ import random
 import string
 
 from contractgate import expr as E
+from contractgate.model import UNBOUNDED, BehavioralModel, ResourceModel, SecurityRule
 
 T, F, U = "T", "F", "U"
 
@@ -214,3 +216,83 @@ def gen_expression_text(rng: random.Random, depth: int = 3) -> str:
     if kind == 3:
         return f"not ({left})"
     return f"({left})"
+
+
+# ---------------------------------------------------------------------------
+# Reference diagnosis: the monitor's check loops as they were before each
+# contract was lowered once into checks
+
+
+def check_precondition(contract, env: E.Environment) -> list:
+    failed = []
+    for conjunct in E.conjuncts(contract.pre):
+        value = E.evaluate(conjunct, env)
+        if value is not E.TRUE:
+            failed.append((E.to_text(conjunct), value))
+    return failed
+
+
+def check_postcondition(contract, env: E.Environment) -> list:
+    failed = []
+    for conjunct in E.conjuncts(contract.post):
+        value = E.evaluate(conjunct, env)
+        if value is E.TRUE:
+            continue
+        if isinstance(conjunct, E.Implies):
+            antecedent = E._eval(conjunct.left, env, antecedent=True)
+            if antecedent is E.TRUE:
+                # name the failing consequent conjuncts for diagnosis
+                for part in E.conjuncts(conjunct.right):
+                    part_value = E.evaluate(part, env)
+                    if part_value is not E.TRUE:
+                        failed.append((E.to_text(part), part_value))
+                continue
+        failed.append((E.to_text(conjunct), value))
+    return failed
+
+
+# ---------------------------------------------------------------------------
+# Model serialization (round-trips through load_model)
+
+
+def serialize_model(
+    rm: ResourceModel, bm: BehavioralModel, rules: list[SecurityRule]
+) -> str:
+    lines: list[str] = []
+    ordered = [d for d in rm.definitions if d.name == rm.root]
+    ordered += [d for d in rm.definitions if d.name != rm.root]
+    for d in ordered:
+        flag = " collection" if d.is_collection and not d.name.startswith("collection_") else ""
+        lines.append(f"resource {d.name}{flag}")
+        for attr in d.attributes:
+            marker = " id" if d.id_attribute == attr.name else ""
+            lines.append(f"  attr {attr.name}: {attr.type}{marker}")
+    for a in rm.associations:
+        card = f" {a.min_card}..{'*' if a.max_card == UNBOUNDED else a.max_card}"
+        lines.append(f"assoc {a.source} -> {a.target} as {a.role_name}{card}")
+    for b in rm.bindings:
+        lines.append(f"bind {b.path} from {b.source} {'.'.join(b.json_path)}")
+    for s in bm.states:
+        lines.append(f"state {s.name}: {E.to_text(s.invariant)}")
+    for t in bm.transitions:
+        parts = [
+            f"transition {t.id}: {t.source} -> {t.target} on {t.http_method} {t.uri_template}"
+        ]
+        if t.guard is not None:
+            parts.append(f"guard: {E.to_text(t.guard)}")
+        if t.effect is not None:
+            parts.append(f"effect: {E.to_text(t.effect)}")
+        if t.actor_role:
+            parts.append(f"actor: {t.actor_role}")
+        lines.append(" ".join(parts))
+    for r in rules:
+        if r.kind == "unconditional":
+            lines.append(
+                f"rule {r.id} on {r.http_method} {r.uri_template}: always {E.to_text(r.rule_expr)}"
+            )
+        else:
+            lines.append(
+                f"rule {r.id} on {r.http_method} {r.uri_template}: "
+                f"if {E.to_text(r.if_expr)} then {E.to_text(r.then_expr)}"
+            )
+    return "\n".join(lines) + "\n"

@@ -10,10 +10,12 @@ import time
 import pytest
 
 from contractgate import expr as E
+from contractgate import gateway
 from contractgate.gateway import (
     MAX_BODY_BYTES,
     GatewayConfig,
     ViolationLog,
+    _GatewayHandler,
     build_gateway,
     flip_clock_comparisons,
 )
@@ -414,6 +416,35 @@ class TestStrictHeaderBlock:
             harness.port, b"GET //healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
         )
         assert reply.startswith(b"HTTP/1.1 200 ")
+
+
+class TestClientTimeout:
+    """A client connection left idle, or stopped inside its header block,
+    is closed once the handler's timeout passes, without a reply."""
+
+    @pytest.fixture(autouse=True)
+    def short_timeout(self, monkeypatch):
+        assert _GatewayHandler.timeout == gateway.CLIENT_TIMEOUT_S
+        monkeypatch.setattr(_GatewayHandler, "timeout", 0.3)
+
+    def test_idle_kept_alive_connection_is_closed(self, harness):
+        with socket.create_connection(("127.0.0.1", harness.port), timeout=5) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: gw\r\n\r\n")
+            started = time.monotonic()
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+            idle = time.monotonic() - started
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert idle < 3
+
+    def test_header_block_cut_off_is_dropped(self, harness):
+        before = len(harness.service.request_log)
+        with socket.create_connection(("127.0.0.1", harness.port), timeout=5) as sock:
+            sock.sendall(b"DELETE /v3/users/u-alice HTTP/1.1\r\nHost: gw\r\nX-Auth-")
+            assert sock.recv(65536) == b""
+        assert len(harness.service.request_log) == before
 
 
 class TestConcurrency:

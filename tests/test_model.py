@@ -11,9 +11,9 @@ from contractgate.model import (
     ResourceModel,
     derive_routes,
     load_model,
-    serialize_model,
     validate_model,
 )
+from oracle import serialize_model
 
 MINIMAL = """\
 resource Root

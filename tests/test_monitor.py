@@ -3,17 +3,24 @@ and the full validation pipeline against the in-process harness."""
 
 import http.client
 import json
+import os
+import resource
 import socket
 import threading
 import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from contractgate import expr as E
 from contractgate import mock_keystone as mk
+from contractgate.model import RouteTable, derive_routes
 from contractgate.monitor import (
     HttpUpstream,
+    Monitor,
     MonitorVariables,
     RequestContext,
     Resolver,
@@ -215,6 +222,90 @@ class TestPipeline:
             "expires_at" in atom["expr"] or "token.token" in atom["expr"]
             for atom in json.loads(body)["failed"]
         )
+
+
+NOW = datetime(2026, 8, 1, 12, tzinfo=timezone.utc)
+HOUR = timedelta(hours=1)
+# Per path, the value that makes its fixture atoms hold (drawn most often)
+# and values that do not; any path may also be Absent or Invalid.
+CANDIDATES = {
+    "self.processing": (E.boolean(False), E.boolean(True)),
+    "token.token": (E.text("t-1"), E.count(0)),
+    "token.expires_at": (E.timestamp(NOW + HOUR), E.timestamp(NOW - HOUR)),
+    "token.catalog": (E.document([{"type": "identity"}]), E.count(0)),
+    "user.id": (E.text("u-1"), E.count(0)),
+    "user.role": (E.text("admin"), E.text("member")),
+    "user.credential": (E.text("secret"), E.count(0)),
+    "request.scope": (E.document({"project": {"id": "p"}}), E.text("unscope")),
+}
+
+
+def _values(path: E.Path):
+    held, other = CANDIDATES[str(path)]
+    return st.sampled_from([held, held, held, other, E.ABSENT, E.INVALID])
+
+
+class TestLoweredDiagnosis:
+    """The lowered checks name the same failing conjuncts, with the same
+    values and in the same order, as the reference check loops."""
+
+    def test_same_failed_conjuncts_as_the_reference(self, loaded_model, fixture_contracts):
+        rm, bm, _ = loaded_model
+        contracts = sorted(fixture_contracts.values(), key=lambda c: c.id)
+        upstream = HttpUpstream("http://127.0.0.1:9")  # never called
+        monitor = Monitor(rm, derive_routes(rm, bm), contracts, upstream)
+        free = {p for c in contracts for p in E.free_paths(c.pre) | E.free_paths(c.post)}
+        paths = sorted(free, key=str)
+        snapshot_paths = sorted({p for c in contracts for p in c.snapshot_paths}, key=str)
+        seen = {"pass": 0, "fail": 0, "consequent": 0}
+
+        @settings(max_examples=100, derandomize=True, deadline=None)
+        @given(
+            values=st.tuples(*map(_values, paths)),
+            snapshot=st.tuples(*(st.one_of(st.none(), _values(p)) for p in snapshot_paths)),
+        )
+        def check(values, snapshot):
+            table = dict(zip(paths, values))
+            captured = {p: v for p, v in zip(snapshot_paths, snapshot) if v is not None}
+
+            def env(phase):
+                return E.Environment(table.__getitem__, NOW, phase, captured)
+
+            for contract in contracts:
+                got = monitor.check_precondition(contract, env("pre"))
+                assert got == oracle.check_precondition(contract, env("pre"))
+                seen["fail" if got else "pass"] += 1
+                got = monitor.check_postcondition(contract, env("post"))
+                assert got == oracle.check_postcondition(contract, env("post"))
+                top = {E.to_text(c) for c in E.conjuncts(contract.post)}
+                seen["consequent"] += any(text not in top for text, _ in got)
+
+        check()
+        assert all(seen.values()), seen  # passes, failures and split implications all ran
+
+
+class TestRouteMatchedOnce:
+    """handle and every resolver of a request read one route match."""
+
+    @pytest.mark.parametrize("user,password,target,status", [
+        ("admin", "secret", "/v3/users/u-alice", 204),  # pre and post resolvers
+        ("alice", "wonder", "/v3/users/u-admin", 412),  # pre resolver only
+    ])
+    def test_side_effect_matches_its_route_once(
+        self, harness, monkeypatch, user, password, target, status
+    ):
+        token = harness.authenticate(user, password)
+        calls = []
+        match = RouteTable.match
+
+        def counting_match(table, path):
+            calls.append(path)
+            return match(table, path)
+
+        monkeypatch.setattr(RouteTable, "match", counting_match)
+        got, _, _ = harness.call("DELETE", target, headers={"X-Auth-Token": token})
+        assert got == status
+        assert calls == [target]
 
 
 class TestCanonicalResource:
@@ -685,6 +776,34 @@ class TestUpstreamPool:
         assert deletes == [uri]
         assert not harness.gateway.monitor.variables.processing(uri)
         assert harness.call("DELETE", uri, headers=auth)[0] == 204
+
+    def test_pooled_connection_past_descriptor_1024(self, harness):
+        """select() cannot watch a descriptor of 1024 or more; the liveness
+        check of a pooled connection must still work there."""
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        wanted = 1400
+        if soft != resource.RLIM_INFINITY and soft < wanted:
+            if hard != resource.RLIM_INFINITY and hard < wanted:
+                pytest.skip(f"RLIMIT_NOFILE hard limit {hard} is below {wanted}")
+            resource.setrlimit(resource.RLIMIT_NOFILE, (wanted, hard))
+        fillers = []
+        try:
+            for _ in range(1100):
+                fillers.append(os.open(os.devnull, os.O_RDONLY))
+            _, headers, _ = harness.call_mock(
+                "POST", "/v3/auth/tokens", password_body("admin", "secret")
+            )
+            auth = [("X-Auth-Token", dict(headers)["X-Subject-Token"])]
+            upstream = harness.gateway.monitor.upstream
+            assert upstream.request("GET", "/v3/users/u-alice", auth).status == 200
+            assert upstream._idle[-1].sock.fileno() >= 1024
+            assert upstream.request("GET", "/v3/users/u-alice", auth).status == 200
+            status, _, _ = harness.call("DELETE", "/v3/users/u-alice", headers=dict(auth))
+            assert status == 204
+        finally:
+            for fd in fillers:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
     def test_reply_with_connection_close_is_not_reused(self):
         listener = socket.create_server(("127.0.0.1", 0))
