@@ -7,9 +7,9 @@ import hashlib
 import json
 import logging
 import os
-import queue
 import re
 import threading
+from collections import deque
 from dataclasses import dataclass, replace
 from http.server import ThreadingHTTPServer
 from pathlib import Path
@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 ENV_PREFIX = "CONTRACTGATE_"
 MAX_BODY_BYTES = 1 << 20  # longer request bodies are refused (413) unread
 CLIENT_TIMEOUT_S = 60.0  # a client connection idle or stalled this long is closed
+FLUSH_INTERVAL_S = 0.05  # the violation-log writer wakes this often
 _REQUEST_LINE = re.compile(
     rb"(" + TOKEN.pattern + rb") ([!-~]+) HTTP/([0-9])\.([0-9])\r\n"
 )  # METHOD SP target (visible ASCII) SP HTTP-version CRLF
@@ -99,67 +100,77 @@ def flip_clock_comparisons(e: E.Expression) -> E.Expression:
 
 
 class ViolationLog:
-    """Append-only JSONL sink fed through a bounded queue by a single writer
-    thread; overload drops the oldest entries and counts the drops instead of
-    blocking request handling."""
+    """Append-only JSONL sink.  ``record`` only appends to a bounded buffer
+    and never wakes the writer; one writer thread takes the buffer every
+    ``FLUSH_INTERVAL_S`` (at once on ``close``), encodes it and writes it with
+    one write.  Overload drops the oldest records, and records that cannot be
+    encoded or written, or arrive after ``close``, are dropped too; every drop
+    is counted instead of blocking request handling."""
 
     def __init__(self, path: Optional[str], max_queue: int = 1024):
         self.path = path
-        self.queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self.dropped = 0
         self.written = 0
+        self._buffer: deque = deque(maxlen=max_queue)
         self._lock = threading.Lock()
         self._closing = threading.Event()
         self._thread = threading.Thread(target=self._writer, daemon=True)
         self._thread.start()
 
     def record(self, violation: ViolationRecord) -> None:
-        line = json.dumps(violation.to_json(), sort_keys=True)
-        while True:
-            try:
-                self.queue.put_nowait(line)
+        with self._lock:
+            if self._closing.is_set():  # the writer may have taken its last batch
+                self.dropped += 1
                 return
-            except queue.Full:
-                try:
-                    self.queue.get_nowait()
-                    with self._lock:
-                        self.dropped += 1
-                except queue.Empty:
-                    pass
+            if len(self._buffer) == self._buffer.maxlen:
+                self.dropped += 1  # the append below pushes out the oldest
+            self._buffer.append(violation)
+
+    @property
+    def buffered(self) -> int:
+        """Records waiting for the writer."""
+        return len(self._buffer)
+
+    @property
+    def writer_alive(self) -> bool:
+        return self._thread.is_alive()
 
     def _writer(self) -> None:
-        """Drain the queue into the file, which stays open for the writer's
-        life and is flushed whenever the queue runs empty."""
-        fh = None
-        try:
-            while not self._closing.is_set() or not self.queue.empty():
-                try:
-                    line = self.queue.get(timeout=0.1)
-                except queue.Empty:
-                    continue
-                if line is None:  # close() waking the writer
-                    continue
-                try:
-                    if self.path:
-                        if fh is None:
-                            fh = open(self.path, "a", encoding="utf-8")
-                        fh.write(line + "\n")
-                        if self.queue.empty():
-                            fh.flush()
-                    with self._lock:
-                        self.written += 1
-                except OSError as exc:
-                    log.warning("violation log write failed: %s", exc)
-        finally:
-            if fh is not None:
-                fh.close()
+        """Write the buffer out on every wake-up until closed."""
+        while True:
+            closing = self._closing.wait(FLUSH_INTERVAL_S)
+            with self._lock:
+                batch = self._buffer
+                self._buffer = deque(maxlen=batch.maxlen)
+            if batch:
+                self._write_batch(batch)
+            if closing:
+                return
+
+    def _write_batch(self, batch: deque) -> None:
+        """Encode one batch and append it to the file in one write; the file
+        is opened per batch, so a failed open or write costs only its batch."""
+        lines = []
+        for violation in batch:
+            try:
+                lines.append(json.dumps(violation.to_json(), sort_keys=True) + "\n")
+            except Exception:  # one bad record must not stop the writer
+                log.warning("violation record not encodable, dropped", exc_info=True)
+        written = len(lines)
+        if self.path and lines:
+            try:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write("".join(lines))
+            except OSError as exc:
+                log.warning("violation log write failed, %d records dropped: %s",
+                            written, exc)
+                written = 0
+        with self._lock:
+            self.written += written
+            self.dropped += len(batch) - written
 
     def close(self) -> None:
         self._closing.set()
-        try:
-            self.queue.put_nowait(None)  # wake the writer now, not at its next poll
-        except queue.Full:
-            pass  # the writer is busy draining anyway
         self._thread.join(timeout=5.0)
 
 
@@ -287,14 +298,18 @@ class _GatewayHandler(OneWriteHandler):
             return
 
         if self.path == "/healthz" and self.command == "GET":
+            vlog = gw.violation_log
+            alive = vlog.writer_alive
             self._reply(
-                200,
+                200 if alive else 503,
                 [("Content-Type", "application/json")],
                 json.dumps(
                     {
-                        "status": "ok",
+                        "status": "ok" if alive else "violation log writer down",
                         "model_sha256": gw.model_checksum,
-                        "log_dropped": gw.violation_log.dropped,
+                        "log_dropped": vlog.dropped,
+                        "log_buffered": vlog.buffered,
+                        "log_writer_alive": alive,
                     }
                 ).encode(),
             )

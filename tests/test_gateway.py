@@ -1,10 +1,14 @@
 """Gateway wiring tests: config, admin endpoints, violation log, and the
 alternate operating modes."""
 
+import builtins
+import dataclasses
 import hashlib
 import json
 import random
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -19,7 +23,7 @@ from contractgate.gateway import (
     build_gateway,
     flip_clock_comparisons,
 )
-from contractgate.monitor import Verdict, ViolationRecord
+from contractgate.monitor import RequestContext, Verdict, ViolationRecord
 from conftest import password_body
 from oracle import gen_expression_text
 from datetime import datetime, timezone
@@ -160,6 +164,201 @@ class TestViolationLog:
         log.record(_record())
         assert _wait_for(lambda: log.written == 1)
         log.close()
+
+
+def _line(violation) -> str:
+    return json.dumps(violation.to_json(), sort_keys=True)
+
+
+def _numbered(n: int) -> ViolationRecord:
+    return dataclasses.replace(_record(), uri=f"/v3/users/u-{n}")
+
+
+class _CountingFile:
+    """A file whose write calls are counted; ``fail`` makes them raise."""
+
+    def __init__(self, fh, fail=False):
+        self._fh, self.fail, self.writes = fh, fail, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.fail:
+            raise OSError("no space left on device")
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+class _Opened(list):
+    fail_next = False  # the next opened file's writes raise
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file the violation log opens, wrapped in a _CountingFile."""
+    files = _Opened()
+
+    def counting_open(*args, **kwargs):
+        files.append(_CountingFile(builtins.open(*args, **kwargs), files.fail_next))
+        files.fail_next = False
+        return files[-1]
+
+    monkeypatch.setattr(gateway, "open", counting_open, raising=False)
+    return files
+
+
+@pytest.fixture
+def held_writer(monkeypatch):
+    """The writer sleeps until close(): every record lands in one batch."""
+    monkeypatch.setattr(gateway, "FLUSH_INTERVAL_S", 60.0)
+
+
+class TestBatchedViolationWriter:
+    def test_burst_reaches_the_file_in_order_in_few_writes(self, tmp_path, opened):
+        path = tmp_path / "v.jsonl"
+        log = ViolationLog(str(path))
+        records = [_numbered(n) for n in range(200)]
+        for r in records:
+            log.record(r)
+        log.close()
+        assert path.read_text().splitlines() == [_line(r) for r in records]
+        assert (log.written, log.dropped) == (200, 0)
+        assert sum(f.writes for f in opened) <= 200 // 10
+
+    def test_record_does_not_wake_the_writer(self, tmp_path, held_writer):
+        path = tmp_path / "v.jsonl"
+        log = ViolationLog(str(path))
+        log.record(_record())
+        time.sleep(0.2)
+        assert (log.buffered, log.written, path.exists()) == (1, 0, False)
+        log.close()  # wakes the writer at once
+        assert (log.buffered, log.written) == (0, 1)
+        assert path.read_text() == _line(_record()) + "\n"
+
+    def test_overload_keeps_the_newest(self, tmp_path, held_writer):
+        path = tmp_path / "v.jsonl"
+        log = ViolationLog(str(path), max_queue=4)
+        records = [_numbered(n) for n in range(10)]
+        for r in records:
+            log.record(r)
+        assert (log.buffered, log.dropped) == (4, 6)
+        log.close()
+        assert path.read_text().splitlines() == [_line(r) for r in records[-4:]]
+        assert (log.written, log.dropped) == (4, 6)
+
+    def test_concurrent_records_are_all_counted(self, tmp_path):
+        """Handler threads append while the writer swaps the buffer out:
+        no record may be lost uncounted or counted twice."""
+        path = tmp_path / "v.jsonl"
+        log = ViolationLog(str(path), max_queue=64)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: [log.record(_record()) for _ in range(500)])
+                for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(old)
+        log.close()
+        assert not any(t.is_alive() for t in threads) and not log.writer_alive
+        assert log.written + log.dropped == 2000
+        assert len(path.read_text().splitlines()) == log.written
+
+    def test_record_after_close_is_counted_as_dropped(self, tmp_path):
+        log = ViolationLog(str(tmp_path / "v.jsonl"))
+        log.record(_record())
+        log.close()
+        log.record(_record())  # a handler still running at shutdown
+        assert (log.written, log.dropped, log.buffered) == (1, 1, 0)
+
+    def test_unopenable_log_counts_records_as_dropped(self, tmp_path):
+        log = ViolationLog(str(tmp_path))  # a directory: open() fails
+        for _ in range(3):
+            log.record(_record())
+        log.close()
+        assert (log.written, log.dropped) == (0, 3)
+
+    def test_failed_write_drops_its_batch_and_the_next_reopens(self, tmp_path, opened):
+        path = tmp_path / "v.jsonl"
+        opened.fail_next = True
+        log = ViolationLog(str(path))
+        log.record(_numbered(1))
+        assert _wait_for(lambda: log.dropped == 1)
+        log.record(_numbered(2))
+        log.close()
+        assert (log.written, log.dropped) == (1, 1)
+        assert [f.fail for f in opened] == [True, False]
+        assert path.read_text() == _line(_numbered(2)) + "\n"
+
+    @pytest.mark.parametrize("poison", [
+        type("Raises", (), {"to_json": lambda self: 1 / 0})(),
+        type("NotJson", (), {"to_json": lambda self: {"x": object()}})(),
+    ])
+    def test_unencodable_record_is_dropped_and_the_writer_lives(
+        self, tmp_path, caplog, poison
+    ):
+        path = tmp_path / "v.jsonl"
+        log = ViolationLog(str(path))
+        log.record(_numbered(1))
+        log.record(poison)
+        log.record(_numbered(2))
+        assert _wait_for(lambda: log.written + log.dropped == 3)
+        assert log.writer_alive
+        log.record(_numbered(3))
+        log.close()
+        assert path.read_text().splitlines() == [_line(_numbered(n)) for n in (1, 2, 3)]
+        assert (log.written, log.dropped) == (3, 1)
+        assert any("not encodable" in r.getMessage() for r in caplog.records)
+
+    def test_record_from_handle_encodes_the_same_later(self, harness):
+        """The writer encodes a record after the reply has gone, so nothing
+        the monitor does later may change what the record says."""
+        monitor = harness.gateway.monitor
+        token = harness.authenticate("alice", "wonder")
+        ctx = RequestContext.build(
+            "DELETE", "/v3/users/u-admin", {"X-Auth-Token": token}, b""
+        )
+        raw = json.dumps(password_body("admin", "wrong")).encode()
+        login = RequestContext.build("POST", "/v3/auth/tokens", {}, raw)
+        pre = monitor.handle(ctx, b"").violation
+        post = monitor.handle(login, raw).violation
+        lines = [_line(pre), _line(post)]
+
+        monitor.handle(ctx, b"")
+        monitor.handle(login, raw)
+        admin = harness.authenticate("admin", "secret")
+        assert harness.call(
+            "DELETE", "/v3/users/u-alice", headers={"X-Auth-Token": admin}
+        )[0] == 204
+        harness.call("DELETE", "/v3/users/u-admin", headers={"X-Auth-Token": token})
+        assert [_line(pre), _line(post)] == lines
+
+
+class TestHealthz:
+    def test_reports_the_violation_writer(self, harness):
+        status, _, body = harness.call("GET", "/healthz")
+        doc = json.loads(body)
+        assert status == 200
+        assert doc["status"] == "ok"
+        assert doc["log_writer_alive"] is True
+        assert (doc["log_buffered"], doc["log_dropped"]) == (0, 0)
+
+    def test_dead_writer_is_503(self, harness):
+        harness.gateway.violation_log.close()  # the writer thread exits
+        status, _, body = harness.call("GET", "/healthz")
+        doc = json.loads(body)
+        assert status == 503
+        assert doc["log_writer_alive"] is False
+        assert "log_dropped" in doc
 
 
 class TestOperatingModes:
