@@ -82,6 +82,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_mock(args: argparse.Namespace) -> int:
+    # imported here, so that `contractgate run` loads no http.server
+    from . import mock_server
+
     try:
         faults = mock_keystone.FaultProfile.from_names(args.fault or [])
         seed = None
@@ -99,7 +102,7 @@ def cmd_mock(args: argparse.Namespace) -> int:
     host, _, port = args.listen.partition(":")
     print(f"mock identity service listening on {args.listen}")
     try:
-        mock_keystone.serve_forever(
+        mock_server.serve_forever(
             host or "127.0.0.1",
             int(port or 0),
             seed=seed,

@@ -3,24 +3,36 @@ persistence and the /healthz and /contracts endpoints."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 import re
+import socketserver
 import threading
 from collections import deque
 from dataclasses import dataclass, replace
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
+
+# CPython's built-in SHA-256: hashlib would map OpenSSL (about 4 MB resident)
+# into the gateway for one checksum at boot
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import expr as E
 from .contracts import derive_contracts, render_contracts
 from .httpreply import (
+    MAX_LINE,
+    REASONS,
     TOKEN,
     FramingError,
-    OneWriteHandler,
+    SocketReader,
+    encode_reply,
     field_tokens,
     field_values,
     read_headers,
@@ -37,6 +49,7 @@ FLUSH_INTERVAL_S = 0.05  # the violation-log writer wakes this often
 _REQUEST_LINE = re.compile(
     rb"(" + TOKEN.pattern + rb") ([!-~]+) HTTP/([0-9])\.([0-9])\r\n"
 )  # METHOD SP target (visible ASCII) SP HTTP-version CRLF
+_METHODS = frozenset(("GET", "HEAD", "POST", "PUT", "DELETE", "PATCH"))  # else 501
 
 
 @dataclass
@@ -181,7 +194,7 @@ class Gateway:
     contracts_text: str
     model_checksum: str
     violation_log: ViolationLog
-    server: Optional[ThreadingHTTPServer] = None
+    server: Optional[socketserver.ThreadingTCPServer] = None
 
     @property
     def port(self) -> int:
@@ -228,79 +241,83 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
         config=cfg,
         monitor=monitor,
         contracts_text=render_contracts(contracts),
-        model_checksum=hashlib.sha256(document).hexdigest(),
+        model_checksum=sha256(document).hexdigest(),
         violation_log=ViolationLog(cfg.log_path),
     )
 
 
-class _GatewayHandler(OneWriteHandler):
+class _GatewayHandler(socketserver.BaseRequestHandler):
+    """One client connection: its requests are read and answered in turn
+    until either side asks to close it, a request is refused, or the client
+    stays idle or stalled for ``timeout`` seconds, which closes it without a
+    reply.  The request line and the header block are read strictly: a
+    request line that is not ``METHOD SP target SP HTTP/1.x`` gets 400 (505
+    for HTTP/2 or later, 414 past MAX_LINE bytes), a malformed header block
+    400 (431 past a size limit) and an unknown method 501.  A refusal closes
+    the connection, so no unread bytes can be taken for a further request."""
+
     gateway: Gateway = None  # bound by make_server
-    timeout = CLIENT_TIMEOUT_S  # the stdlib closes the connection on TimeoutError
+    timeout = CLIENT_TIMEOUT_S
 
-    def parse_request(self) -> bool:
-        """Read the request line and the header block strictly, in place of
-        the stdlib's parser.  The line must be ``METHOD SP target SP
-        HTTP/1.x``: HTTP/2 or later gets 505, anything else 400; a malformed
-        header block gets 400 (431 past a size limit).  A refusal closes the
-        connection.  ``self.headers`` holds the (name, value) pairs."""
-        self.command = None
-        self.close_connection = True
-        match = _REQUEST_LINE.fullmatch(self.raw_requestline)
-        if match is None or match[3] == b"0":
-            return self._refuse(400, "malformed request line")
-        if match[3] != b"1":
-            return self._refuse(505, "HTTP version not supported")
-        self.command = match[1].decode("ascii")
-        self.path = match[2].decode("ascii")
-        if self.path.startswith("//"):  # as the stdlib: no scheme-relative path
-            self.path = "/" + self.path.lstrip("/")
-        self.request_version = f"HTTP/1.{match[4].decode()}"
-        http_1_1 = match[4] != b"0"
+    def handle(self) -> None:
+        self.request.settimeout(self.timeout)
+        reader = SocketReader(self.request)
         try:
-            self.headers = read_headers(self.rfile)
+            while self._serve_one(reader):
+                pass
+        except (TimeoutError, ConnectionResetError, BrokenPipeError):
+            pass  # the client stalled or went away: close without a reply
+
+    def _serve_one(self, reader: SocketReader) -> bool:
+        """Read and answer one request; whether the connection stays open."""
+        line = reader.readline(MAX_LINE + 1)
+        if not line:
+            return False
+        if len(line) > MAX_LINE:
+            return self._refuse("", 414, REASONS[414])
+        match = _REQUEST_LINE.fullmatch(line)
+        if match is None or match[3] == b"0":
+            return self._refuse("", 400, "malformed request line")
+        if match[3] != b"1":
+            return self._refuse("", 505, "HTTP version not supported")
+        method = match[1].decode("ascii")
+        path = match[2].decode("ascii")
+        if path.startswith("//"):  # as the stdlib: no scheme-relative path
+            path = "/" + path.lstrip("/")
+        http_1_0 = match[4] == b"0"
+        try:
+            headers = read_headers(reader)
         except FramingError as exc:
-            return self._refuse(exc.status, str(exc))
-        connection = field_tokens(self.headers, "connection")
-        self.close_connection = "close" in connection or (
-            not http_1_1 and "keep-alive" not in connection
+            return self._refuse(method, exc.status, str(exc))
+        if method not in _METHODS:
+            return self._refuse(method, 501, f"Unsupported method ({method!r})")
+        connection = field_tokens(headers, "connection")
+        keep_alive = "close" not in connection and (
+            not http_1_0 or "keep-alive" in connection
         )
-        return True
-
-    def send_error(self, code: int, message: Optional[str] = None, explain=None) -> None:
-        """The stdlib's own refusals (a request line over 65536 bytes, an
-        unknown method) are answered like the gateway's."""
-        self._refuse(code, message or self.responses[code][0])
-
-    def _refuse(self, status: int, message: str) -> bool:
-        """Answer with a JSON error and close the connection, so no unread
-        bytes can be taken for a further request on it."""
-        self._reply(
-            status,
-            [("Content-Type", "application/json"), ("Connection", "close")],
-            json.dumps({"error": message}).encode(),
-        )
-        return False
-
-    def _dispatch(self) -> None:
-        gw = self.gateway
-        refusal = self._framing_refusal()
+        refusal = _framing_refusal(headers)
         if refusal is not None:
-            self._refuse(*refusal)
-            return
-        expect = field_values(self.headers, "expect")
-        if self.request_version != "HTTP/1.0" and [v.lower() for v in expect] == ["100-continue"]:
-            self.handle_expect_100()  # only once the body will be read
-        lengths = field_values(self.headers, "content-length")
+            return self._refuse(method, *refusal)
+        expect = field_values(headers, "expect")
+        if not http_1_0 and [v.lower() for v in expect] == ["100-continue"]:
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")  # body is wanted
+        lengths = field_values(headers, "content-length")
         length = int(lengths[0]) if lengths else 0
-        raw_body = self.rfile.read(length) if length else b""
+        raw_body = reader.read(length) if length else b""
         if len(raw_body) < length:
-            self._refuse(400, "request body shorter than its Content-Length")
-            return
+            return self._refuse(method, 400, "request body shorter than its Content-Length")
+        closes = self._reply(method, *self._answer(method, path, headers, raw_body))
+        return keep_alive and not closes
 
-        if self.path == "/healthz" and self.command == "GET":
+    def _answer(
+        self, method: str, path: str, headers: list[tuple[str, str]], raw_body: bytes
+    ) -> tuple[int, list[tuple[str, str]], bytes]:
+        """Status, header fields and body of the reply to one request."""
+        gw = self.gateway
+        if path == "/healthz" and method == "GET":
             vlog = gw.violation_log
             alive = vlog.writer_alive
-            self._reply(
+            return (
                 200 if alive else 503,
                 [("Content-Type", "application/json")],
                 json.dumps(
@@ -313,41 +330,57 @@ class _GatewayHandler(OneWriteHandler):
                     }
                 ).encode(),
             )
-            return
-        if self.path == "/contracts" and self.command == "GET":
-            self._reply(
+        if path == "/contracts" and method == "GET":
+            return (
                 200,
                 [("Content-Type", "text/plain; charset=utf-8")],
                 gw.contracts_text.encode("utf-8"),
             )
-            return
-
-        ctx = RequestContext.build(self.command, self.path, dict(self.headers), raw_body)
+        ctx = RequestContext.build(method, path, dict(headers), raw_body)
         result = gw.monitor.handle(ctx, raw_body)
         if result.violation is not None:
             gw.violation_log.record(result.violation)
-        self._reply(result.status, result.headers, result.body)
+        return result.status, result.headers, result.body
 
-    def _framing_refusal(self) -> Optional[tuple[int, str]]:
-        """Status and message for a request body the gateway will not read."""
-        if field_values(self.headers, "transfer-encoding"):
-            return 411, "Transfer-Encoding is not supported; send Content-Length"
-        lengths = field_values(self.headers, "content-length")
-        if len(lengths) > 1 or any(not (v.isascii() and v.isdigit()) for v in lengths):
-            return 400, "malformed Content-Length"
-        if lengths and int(lengths[0]) > MAX_BODY_BYTES:
-            return 413, "request body too large"
-        return None
+    def _refuse(self, method: str, status: int, message: str) -> bool:
+        """Answer with a JSON error and close the connection."""
+        self._reply(
+            method,
+            status,
+            [("Content-Type", "application/json"), ("Connection", "close")],
+            json.dumps({"error": message}).encode(),
+        )
+        return False
 
-    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD = _dispatch
+    def _reply(
+        self, method: str, status: int, headers: list[tuple[str, str]], body: bytes
+    ) -> bool:
+        """Send one reply in one write; whether it closes the connection."""
+        data, closes = encode_reply(status, headers, body, method == "HEAD")
+        self.request.sendall(data)
+        return closes
 
-    def log_message(self, fmt, *args):
-        pass
+
+def _framing_refusal(headers: list[tuple[str, str]]) -> Optional[tuple[int, str]]:
+    """Status and message for a request body the gateway will not read."""
+    if field_values(headers, "transfer-encoding"):
+        return 411, "Transfer-Encoding is not supported; send Content-Length"
+    lengths = field_values(headers, "content-length")
+    if len(lengths) > 1 or any(not (v.isascii() and v.isdigit()) for v in lengths):
+        return 400, "malformed Content-Length"
+    if lengths and int(lengths[0]) > MAX_BODY_BYTES:
+        return 413, "request body too large"
+    return None
 
 
-def make_server(gateway: Gateway) -> ThreadingHTTPServer:
+class _GatewayServer(socketserver.ThreadingTCPServer):
+    daemon_threads = True  # one thread per connection, never joined
+    allow_reuse_address = True
+
+
+def make_server(gateway: Gateway) -> socketserver.ThreadingTCPServer:
     host, _, port = gateway.config.listen_address.partition(":")
     handler = type("BoundGatewayHandler", (_GatewayHandler,), {"gateway": gateway})
-    server = ThreadingHTTPServer((host or "127.0.0.1", int(port or 0)), handler)
+    server = _GatewayServer((host or "127.0.0.1", int(port or 0)), handler)
     gateway.server = server
     return server

@@ -7,11 +7,12 @@ from __future__ import annotations
 import re
 import socket
 import time
-from http.server import BaseHTTPRequestHandler
+from http import HTTPStatus
 from typing import Optional
 
 MAX_LINE = 65536  # bytes in one request, status, header or chunk-size line
 MAX_FIELDS = 100  # fields in one header block
+REASONS = {status.value: status.phrase for status in HTTPStatus}  # reason phrases
 
 TOKEN = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 field name
 _CR_LF_NUL = re.compile(rb"[\r\n\x00]")
@@ -28,7 +29,7 @@ class FramingError(ValueError):
         self.status = status
 
 
-def read_headers(rfile) -> list[tuple[str, str]]:
+def read_headers(reader: SocketReader) -> list[tuple[str, str]]:
     """Read a header block through its empty line, as (name, value) pairs in
     order and case.  Every line ends in CRLF; a line over MAX_LINE bytes, more
     than MAX_FIELDS fields, a line without a colon, a name that is not a token
@@ -36,7 +37,7 @@ def read_headers(rfile) -> list[tuple[str, str]]:
     inside a value are malformed."""
     fields: list[tuple[str, str]] = []
     while True:
-        line = rfile.readline(MAX_LINE + 1)
+        line = reader.readline(MAX_LINE + 1)
         if len(line) > MAX_LINE:
             raise FramingError("header line too long", 431)
         if line == b"\r\n":
@@ -196,27 +197,26 @@ def _read_chunked(reader: SocketReader) -> bytes:
         chunks.append(chunk[:-2])
 
 
-class OneWriteHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+def encode_reply(
+    status: int, headers: list[tuple[str, str]], body: bytes, head_only: bool = False
+) -> tuple[bytes, bool]:
+    """An HTTP/1.1 reply as the bytes of one write, and whether it closes the
+    connection (it carries ``Connection: close``).
 
-    def _reply(self, status: int, headers: list[tuple[str, str]], body: bytes) -> None:
-        """Send the status line, the headers and the body as one write.
-
-        Sent as two writes (headers, then body), Nagle's algorithm holds the
-        body back on a kept-alive connection until the client's delayed ACK,
-        about 40 ms later.  A Content-Length is added when ``headers`` has
-        none; the body is left out for HEAD."""
-        message = self.responses[status][0] if status in self.responses else ""
-        lines = [f"{self.protocol_version} {status} {message}"]
-        has_length = False
-        for name, value in headers:
-            lowered = name.lower()
-            if lowered == "content-length":
-                has_length = True
-            elif lowered == "connection" and value.lower() == "close":
-                self.close_connection = True
-            lines.append(f"{name}: {value}")
-        if not has_length:
-            lines.append(f"Content-Length: {len(body)}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1", "strict")
-        self.wfile.write(head if self.command == "HEAD" else head + body)
+    Sent as two writes (headers, then body), Nagle's algorithm holds the body
+    back on a kept-alive connection until the client's delayed ACK, about
+    40 ms later.  A Content-Length is added when ``headers`` has none; the
+    body is left out when ``head_only`` (a reply to HEAD)."""
+    lines = [f"HTTP/1.1 {status} {REASONS.get(status, '')}"]
+    has_length = closes = False
+    for name, value in headers:
+        lowered = name.lower()
+        if lowered == "content-length":
+            has_length = True
+        elif lowered == "connection" and value.lower() == "close":
+            closes = True
+        lines.append(f"{name}: {value}")
+    if not has_length:
+        lines.append(f"Content-Length: {len(body)}")
+    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1", "strict")
+    return (head if head_only else head + body), closes

@@ -4,7 +4,8 @@ gateway.
 Implements password/token authentication with scoped and unscoped tokens,
 token validation via GET, listing and deletion of users, and a set of
 fault-injection switches that seed deliberate misbehaviour so the monitor's
-violation detection can be exercised end to end.
+violation detection can be exercised end to end.  The HTTP server around it
+is in ``mock_server``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ import random
 import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
-from email.utils import format_datetime
-from http.server import ThreadingHTTPServer
 from typing import Callable, Optional
-
-from .httpreply import OneWriteHandler
 
 DEFAULT_TTL_SECONDS = 3600
 
@@ -388,75 +385,3 @@ class MockKeystone:
             if n == ref:
                 return Response(200, {kind.rstrip("s"): {"id": i, "name": n}})
         return Response(404, {"error": "not found"})
-
-
-# ---------------------------------------------------------------------------
-# HTTP wiring
-
-
-class _Handler(OneWriteHandler):
-    service: MockKeystone = None  # set by make_server
-
-    def _dispatch(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        headers = {k.lower(): v for k, v in self.headers.items()}
-        path = self.path
-
-        if path == "/__log":
-            self._serve_log()
-            return
-
-        response = self.service.handle(self.command, path, headers, body)
-        # deterministic Date from the injected clock so identically seeded
-        # instances produce byte-identical responses
-        date = format_datetime(self.service.store.clock(), usegmt=True)
-        reply_headers = [("Date", date), *response.headers]
-        payload = b""
-        if response.body is not None:
-            payload = json.dumps(response.body, sort_keys=True).encode("utf-8")
-            reply_headers.append(("Content-Type", "application/json"))
-        self._reply(response.status, reply_headers, payload)
-
-    def _serve_log(self) -> None:
-        if self.command == "DELETE":
-            self.service.reset_log()
-            payload = b"{}"
-        else:
-            payload = json.dumps(
-                {
-                    "requests": [{"method": m, "path": p}
-                                 for m, p in self.service.request_log],
-                    "side_effect_count": self.service.side_effect_count(),
-                }
-            ).encode("utf-8")
-        self._reply(200, [("Content-Type", "application/json")], payload)
-
-    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = _dispatch
-
-    def log_message(self, fmt, *args):  # quiet by default
-        pass
-
-
-def make_server(
-    service: MockKeystone, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler)
-
-
-def serve_forever(
-    host: str,
-    port: int,
-    seed: Optional[dict] = None,
-    faults: FaultProfile = FaultProfile(),
-    ttl_seconds: int = DEFAULT_TTL_SECONDS,
-    clock: Optional[Callable[[], datetime]] = None,
-) -> None:
-    store = IdentityStore(seed=seed, clock=clock, ttl_seconds=ttl_seconds, faults=faults)
-    service = MockKeystone(store)
-    server = make_server(service, host, port)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()

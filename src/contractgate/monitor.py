@@ -9,10 +9,10 @@ monitor treats UNKNOWN as a violation (fail-closed).
 
 from __future__ import annotations
 
-import http.client
 import json
 import re
 import select
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -50,6 +50,17 @@ class UpstreamError(ConnectionError):
     pass
 
 
+def parse_json(raw: bytes) -> object:
+    """``raw`` parsed as JSON; None when it is empty, not UTF-8 JSON, or
+    nested deeper than the parser's recursion limit (about 1000 levels)."""
+    if not raw:
+        return None
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError, RecursionError):
+        return None
+
+
 @dataclass
 class UpstreamResponse:
     status: int
@@ -65,15 +76,11 @@ class UpstreamResponse:
         return None
 
     def json(self) -> Optional[object]:
-        """The body parsed as JSON, or None when it is empty or not JSON.
-        Parsed once: every caller gets the same object, to read only."""
+        """The body parsed as JSON, or None when it is empty, not JSON or
+        nested too deeply to parse.  Parsed once: every caller gets the same
+        object, to read only."""
         if self._doc is _UNSET:
-            self._doc = None
-            if self.body:
-                try:
-                    self._doc = json.loads(self.body.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    pass
+            self._doc = parse_json(self.body)
         return self._doc
 
 
@@ -170,10 +177,11 @@ class HttpUpstream:
             raise UpstreamError("header not encodable as latin-1") from exc
 
     def _connect(self, timeout: float) -> SocketReader:
-        # HTTPConnection.connect sets TCP_NODELAY, and tracers count connects on it
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
-        conn.connect()
-        return SocketReader(conn.sock)
+        """A new connection to the upstream: the only place one is opened."""
+        sock = socket.create_connection((self.host, self.port), timeout)
+        # a request leaves in one write; Nagle would only delay it
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return SocketReader(sock)
 
     def _checkout(self, timeout: float) -> Optional[SocketReader]:
         """The most recently used idle connection that is still usable, with
@@ -245,17 +253,12 @@ class RequestContext:
         raw_body: bytes,
         arrival_time: Optional[datetime] = None,
     ) -> "RequestContext":
-        body: object = None
-        if raw_body:
-            try:
-                body = json.loads(raw_body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                body = None  # all request.* paths become Absent (fail-closed)
         return cls(
             method=method,
             uri=uri,
             headers={k.lower(): v for k, v in headers.items()},
-            body=body,
+            # unparseable: all request.* paths become Absent (fail-closed)
+            body=parse_json(raw_body),
             arrival_time=arrival_time or datetime.now(timezone.utc),
         )
 

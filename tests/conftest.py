@@ -12,6 +12,7 @@ import pytest
 
 from contractgate import keystone_fixture_path
 from contractgate import mock_keystone as mk
+from contractgate import mock_server as ms
 from contractgate.contracts import Contract, derive_contracts
 from contractgate.gateway import Gateway, GatewayConfig, build_gateway, make_server
 from contractgate.model import load_model
@@ -142,7 +143,7 @@ def boot_harness(faults: mk.FaultProfile = mk.FaultProfile(), *,
                  **config_overrides) -> Harness:
     store = mk.IdentityStore(seed=seed, clock=clock, faults=faults)
     service = mk.MockKeystone(store)
-    mock_server = mk.make_server(service)
+    mock_server = ms.make_server(service)
     threading.Thread(target=mock_server.serve_forever,
                      kwargs={"poll_interval": 0.02}, daemon=True).start()
     mock_port = mock_server.server_address[1]

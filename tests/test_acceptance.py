@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 
 from contractgate import expr as E
 from contractgate import mock_keystone as mk
+from contractgate import mock_server as ms
 from contractgate.model import load_model
 
 from conftest import GOLDEN, boot_harness, password_body, token_body
@@ -241,7 +242,7 @@ def test_6_non_interference():
         fixed_now = datetime.now(timezone.utc)
         clock = lambda: fixed_now  # noqa: E731
         direct = mk.MockKeystone(mk.IdentityStore(clock=clock))
-        direct_server = mk.make_server(direct)
+        direct_server = ms.make_server(direct)
         import threading
 
         threading.Thread(target=direct_server.serve_forever,

@@ -6,7 +6,9 @@ import dataclasses
 import hashlib
 import json
 import random
+import os
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -99,6 +101,47 @@ class TestAdminEndpoints:
         assert first[2] == second[2]
         assert b"contract POST /v3/auth/tokens" in first[2]
         assert b"contract DELETE /v3/users/{user_id}" in first[2]
+
+
+class TestFootprint:
+    LEFT_OUT = {
+        "http.server",
+        "http.client",
+        "ssl",
+        "_ssl",
+        "email",
+        "email.parser",
+        "email.utils",
+        "_hashlib",
+        "contractgate.mock_server",
+    }
+
+    def test_gateway_process_loads_no_http_tls_or_email_stack(self):
+        """What `contractgate run` imports and builds, in a fresh interpreter
+        (-S: what site packages load is not the gateway's doing)."""
+        script = (
+            "import json, sys\n"
+            "import contractgate.cli\n"
+            "from contractgate import keystone_fixture_path\n"
+            "from contractgate.gateway import GatewayConfig, build_gateway, make_server\n"
+            "gw = build_gateway(GatewayConfig(listen_address='127.0.0.1:0',\n"
+            "    upstream_base_url='http://127.0.0.1:9', model_path=keystone_fixture_path()))\n"
+            "make_server(gw).server_close()\n"
+            "gw.violation_log.close()\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(gateway.__file__))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            check=True,
+            timeout=60,
+        )
+        loaded = set(json.loads(done.stdout))
+        assert "contractgate.gateway" in loaded
+        assert loaded & self.LEFT_OUT == set()
+        assert not [name for name in loaded if name.startswith("email.")]
 
 
 def _record(expr_text="user.role='admin'"):
@@ -453,6 +496,24 @@ class TestRequestFraming:
             harness.port, request + request.replace(b"HTTP/1.1", b"HTTP/1.0", 1)
         )
         assert reply.count(b"HTTP/1.1 201 ") == 2
+
+
+class TestUnparseableBody:
+    def test_deeply_nested_body_is_refused_like_any_unparseable_one(self, harness):
+        """json.loads raises RecursionError past about 1000 levels.  Such a
+        body reads as unparseable: request.* is Absent and the request gets
+        the same fail-closed 412 as a body that is no JSON at all."""
+        replies = [
+            _raw_exchange(
+                harness.port,
+                b"POST /v3/auth/tokens HTTP/1.1\r\nHost: gw\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+            )
+            for body in (b"[" * 5000, b"not json")
+        ]
+        assert replies[0].startswith(b"HTTP/1.1 412 ")
+        assert replies[0] == replies[1]
+        assert harness.service.side_effect_count() == 0
 
 
 def _raw_session(port: int, request: bytes) -> bytes:

@@ -1,7 +1,6 @@
 """Runtime monitor tests: JSON helpers, request context, monitor variables,
 and the full validation pipeline against the in-process harness."""
 
-import http.client
 import json
 import os
 import resource
@@ -619,7 +618,10 @@ class TestUpstreamResponseJson:
         assert response.json() is response.json()
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("body", [b"", b"<html>", b"\xff\xfe"])
+    @pytest.mark.parametrize(
+        "body",
+        [b"", b"<html>", b"\xff\xfe", pytest.param(b"[" * 5000, id="nested-too-deep")],
+    )
     def test_not_json_is_none(self, body):
         response = UpstreamResponse(200, [], body)
         assert response.json() is None
@@ -720,20 +722,22 @@ class TestUpstreamPool:
 
     def test_sequential_calls_reuse_one_connection(self, harness, monkeypatch):
         connects = []
-        connect = http.client.HTTPConnection.connect
+        connect = HttpUpstream._connect
 
-        def counting_connect(conn):
-            if conn.port == harness.mock_port:
+        def counting_connect(upstream, timeout):
+            conn = connect(upstream, timeout)
+            if upstream.port == harness.mock_port:
                 connects.append(conn)
-            connect(conn)
+            return conn
 
-        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+        monkeypatch.setattr(HttpUpstream, "_connect", counting_connect)
         token = harness.authenticate("admin", "secret")
         auth = {"X-Auth-Token": token}
         for _ in range(3):
             assert harness.call("GET", "/v3/users/u-alice", headers=auth)[0] == 200
         assert harness.call("DELETE", "/v3/users/u-alice", headers=auth)[0] == 204
         assert len(connects) == 1
+        assert connects[0].sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
     def test_idle_connection_closed_by_the_upstream_is_not_used(self, harness):
         handler = harness._servers[0].RequestHandlerClass
