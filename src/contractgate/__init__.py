@@ -6,11 +6,11 @@ against them, and reports violations.  Ships with a mock identity upstream
 for end-to-end testing.
 """
 
-from importlib import resources
+import os
 
 __version__ = "0.1.0"
 
 
 def keystone_fixture_path() -> str:
     """Filesystem path of the bundled identity-service model document."""
-    return str(resources.files(__name__).joinpath("fixtures/keystone.model"))
+    return os.path.join(os.path.dirname(__file__), "fixtures", "keystone.model")

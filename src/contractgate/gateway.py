@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import socketserver
 import threading
 from collections import deque
@@ -27,29 +26,22 @@ except ImportError:
 from . import expr as E
 from .contracts import derive_contracts, render_contracts
 from .httpreply import (
-    MAX_LINE,
-    REASONS,
-    TOKEN,
     FramingError,
+    HttpUpstream,
     SocketReader,
     encode_reply,
-    field_tokens,
-    field_values,
     read_headers,
+    read_request_line,
+    request_framing,
 )
 from .model import derive_routes, load_model, validate_model
-from .monitor import HttpUpstream, Monitor, RequestContext, ViolationRecord
+from .monitor import Monitor, RequestContext, ViolationRecord
 
 log = logging.getLogger(__name__)
 
 ENV_PREFIX = "CONTRACTGATE_"
-MAX_BODY_BYTES = 1 << 20  # longer request bodies are refused (413) unread
 CLIENT_TIMEOUT_S = 60.0  # a client connection idle or stalled this long is closed
 FLUSH_INTERVAL_S = 0.05  # the violation-log writer wakes this often
-_REQUEST_LINE = re.compile(
-    rb"(" + TOKEN.pattern + rb") ([!-~]+) HTTP/([0-9])\.([0-9])\r\n"
-)  # METHOD SP target (visible ASCII) SP HTTP-version CRLF
-_METHODS = frozenset(("GET", "HEAD", "POST", "PUT", "DELETE", "PATCH"))  # else 501
 
 
 @dataclass
@@ -250,11 +242,9 @@ class _GatewayHandler(socketserver.BaseRequestHandler):
     """One client connection: its requests are read and answered in turn
     until either side asks to close it, a request is refused, or the client
     stays idle or stalled for ``timeout`` seconds, which closes it without a
-    reply.  The request line and the header block are read strictly: a
-    request line that is not ``METHOD SP target SP HTTP/1.x`` gets 400 (505
-    for HTTP/2 or later, 414 past MAX_LINE bytes), a malformed header block
-    400 (431 past a size limit) and an unknown method 501.  A refusal closes
-    the connection, so no unread bytes can be taken for a further request."""
+    reply.  A request that cannot be framed is refused with the status of its
+    ``FramingError``, and the refusal closes the connection, so no unread
+    bytes can be taken for a further request."""
 
     gateway: Gateway = None  # bound by make_server
     timeout = CLIENT_TIMEOUT_S
@@ -270,42 +260,21 @@ class _GatewayHandler(socketserver.BaseRequestHandler):
 
     def _serve_one(self, reader: SocketReader) -> bool:
         """Read and answer one request; whether the connection stays open."""
-        line = reader.readline(MAX_LINE + 1)
-        if not line:
-            return False
-        if len(line) > MAX_LINE:
-            return self._refuse("", 414, REASONS[414])
-        match = _REQUEST_LINE.fullmatch(line)
-        if match is None or match[3] == b"0":
-            return self._refuse("", 400, "malformed request line")
-        if match[3] != b"1":
-            return self._refuse("", 505, "HTTP version not supported")
-        method = match[1].decode("ascii")
-        path = match[2].decode("ascii")
-        if path.startswith("//"):  # as the stdlib: no scheme-relative path
-            path = "/" + path.lstrip("/")
-        http_1_0 = match[4] == b"0"
+        method = ""  # a refusal before the method is read is no reply to HEAD
         try:
+            request_line = read_request_line(reader)
+            if request_line is None:
+                return False
+            method, path, http_1_0 = request_line
             headers = read_headers(reader)
+            keep_alive, length, expect = request_framing(method, headers, http_1_0)
+            if expect:  # the body is wanted
+                self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            raw_body = reader.read(length)
+            if len(raw_body) < length:
+                raise FramingError("request body shorter than its Content-Length")
         except FramingError as exc:
             return self._refuse(method, exc.status, str(exc))
-        if method not in _METHODS:
-            return self._refuse(method, 501, f"Unsupported method ({method!r})")
-        connection = field_tokens(headers, "connection")
-        keep_alive = "close" not in connection and (
-            not http_1_0 or "keep-alive" in connection
-        )
-        refusal = _framing_refusal(headers)
-        if refusal is not None:
-            return self._refuse(method, *refusal)
-        expect = field_values(headers, "expect")
-        if not http_1_0 and [v.lower() for v in expect] == ["100-continue"]:
-            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")  # body is wanted
-        lengths = field_values(headers, "content-length")
-        length = int(lengths[0]) if lengths else 0
-        raw_body = reader.read(length) if length else b""
-        if len(raw_body) < length:
-            return self._refuse(method, 400, "request body shorter than its Content-Length")
         closes = self._reply(method, *self._answer(method, path, headers, raw_body))
         return keep_alive and not closes
 
@@ -359,18 +328,6 @@ class _GatewayHandler(socketserver.BaseRequestHandler):
         data, closes = encode_reply(status, headers, body, method == "HEAD")
         self.request.sendall(data)
         return closes
-
-
-def _framing_refusal(headers: list[tuple[str, str]]) -> Optional[tuple[int, str]]:
-    """Status and message for a request body the gateway will not read."""
-    if field_values(headers, "transfer-encoding"):
-        return 411, "Transfer-Encoding is not supported; send Content-Length"
-    lengths = field_values(headers, "content-length")
-    if len(lengths) > 1 or any(not (v.isascii() and v.isdigit()) for v in lengths):
-        return 400, "malformed Content-Length"
-    if lengths and int(lengths[0]) > MAX_BODY_BYTES:
-        return 413, "request body too large"
-    return None
 
 
 class _GatewayServer(socketserver.ThreadingTCPServer):

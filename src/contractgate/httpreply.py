@@ -1,32 +1,77 @@
-"""HTTP/1.1 framing shared by the gateway and the mock upstream: a reply
-leaves in one write, and header blocks and upstream replies are read
-strictly, without the stdlib's email.parser and http.client machinery."""
+"""HTTP/1.1 on the wire, the one module that frames it: requests read at
+the gateway's edge, replies written by the gateway and the mock in one write,
+and the upstream client with its pool.  Both edges are read strictly (RFC
+9112), without the stdlib's email.parser and http.client machinery."""
 
 from __future__ import annotations
 
+import json
 import re
+import select
 import socket
+import threading
 import time
+from dataclasses import dataclass, field
 from http import HTTPStatus
 from typing import Optional
+from urllib.parse import urlsplit
 
 MAX_LINE = 65536  # bytes in one request, status, header or chunk-size line
 MAX_FIELDS = 100  # fields in one header block
+MAX_BODY_BYTES = 1 << 20  # longer request bodies are refused (413) unread
+POOL_SIZE = 8  # idle kept-alive connections per upstream
 REASONS = {status.value: status.phrase for status in HTTPStatus}  # reason phrases
+HOP_BY_HOP = {
+    "connection",
+    "keep-alive",
+    "proxy-authenticate",
+    "proxy-authorization",
+    "te",
+    "trailer",
+    "transfer-encoding",
+    "upgrade",
+}
 
 TOKEN = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 field name
 _CR_LF_NUL = re.compile(rb"[\r\n\x00]")
+_REQUEST_LINE = re.compile(
+    rb"(" + TOKEN.pattern + rb") ([!-~]+) HTTP/([0-9])\.([0-9])\r\n"
+)  # METHOD SP target (visible ASCII) SP HTTP-version CRLF
+_METHODS = frozenset(("GET", "HEAD", "POST", "PUT", "DELETE", "PATCH"))  # else 501
+_TARGET = re.compile(r"[!-~]+")  # no whitespace or control character
 _STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9])(?: [^\r\n\x00]*)?\r\n")
 _HEX = re.compile(rb"[0-9A-Fa-f]+")
+_UNSET = object()
 
 
 class FramingError(ValueError):
-    """A header block or reply that cannot be framed.  ``status`` is the
-    answer the edge gives for it: 431 when it breaks a size limit, else 400."""
+    """A request or reply that cannot be framed.  ``status`` is the answer
+    the gateway gives a request for it."""
 
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
         self.status = status
+
+
+def read_request_line(reader: SocketReader) -> Optional[tuple[str, str, bool]]:
+    """The method, target and HTTP/1.0-ness of the next request line; None at
+    EOF.  Past MAX_LINE bytes it is 414, for HTTP/2.0 or later 505, and 400
+    unless ``METHOD SP target SP HTTP/1.x`` with a visible ASCII target.  As
+    in the stdlib, a leading ``//`` collapses to ``/``."""
+    line = reader.readline(MAX_LINE + 1)
+    if not line:
+        return None
+    if len(line) > MAX_LINE:
+        raise FramingError(REASONS[414], 414)
+    match = _REQUEST_LINE.fullmatch(line)
+    if match is None or match[3] == b"0":
+        raise FramingError("malformed request line")
+    if match[3] != b"1":
+        raise FramingError("HTTP version not supported", 505)
+    target = match[2].decode("ascii")
+    if target.startswith("//"):
+        target = "/" + target.lstrip("/")
+    return match[1].decode("ascii"), target, match[4] == b"0"
 
 
 def read_headers(reader: SocketReader) -> list[tuple[str, str]]:
@@ -68,6 +113,30 @@ def field_tokens(fields: list[tuple[str, str]], name: str) -> set[str]:
         for value in field_values(fields, name)
         for token in value.split(",")
     }
+
+
+def request_framing(
+    method: str, fields: list[tuple[str, str]], http_1_0: bool
+) -> tuple[bool, int, bool]:
+    """Whether the connection stays open after the request, its body length
+    and whether the client waits for ``100 Continue``.  An unknown method is
+    501; the body must be framed by one Content-Length, a non-negative
+    integer (else 400) of at most MAX_BODY_BYTES (else 413), and any
+    Transfer-Encoding is 411."""
+    if method not in _METHODS:
+        raise FramingError(f"Unsupported method ({method!r})", 501)
+    if field_values(fields, "transfer-encoding"):
+        raise FramingError("Transfer-Encoding is not supported; send Content-Length", 411)
+    lengths = field_values(fields, "content-length")
+    if len(lengths) > 1 or any(not (v.isascii() and v.isdigit()) for v in lengths):
+        raise FramingError("malformed Content-Length")
+    length = int(lengths[0]) if lengths else 0
+    if length > MAX_BODY_BYTES:
+        raise FramingError("request body too large", 413)
+    connection = field_tokens(fields, "connection")
+    keep_alive = "close" not in connection and (not http_1_0 or "keep-alive" in connection)
+    expect = [v.lower() for v in field_values(fields, "expect")]
+    return keep_alive, length, not http_1_0 and expect == ["100-continue"]
 
 
 class SocketReader:
@@ -220,3 +289,168 @@ def encode_reply(
         lines.append(f"Content-Length: {len(body)}")
     head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1", "strict")
     return (head if head_only else head + body), closes
+
+
+class UpstreamError(ConnectionError):
+    pass
+
+
+def parse_json(raw: bytes) -> object:
+    """``raw`` parsed as JSON; None when it is empty, not UTF-8 JSON, or
+    nested deeper than the parser's recursion limit (about 1000 levels)."""
+    if not raw:
+        return None
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError, RecursionError):
+        return None
+
+
+@dataclass
+class UpstreamResponse:
+    status: int
+    headers: list[tuple[str, str]]
+    body: bytes
+    _doc: object = field(default=_UNSET, init=False, repr=False, compare=False)
+
+    def json(self) -> Optional[object]:
+        """The body parsed as JSON, or None when it is empty, not JSON or
+        nested too deeply to parse.  Parsed once: every caller gets the same
+        object, to read only."""
+        if self._doc is _UNSET:
+            self._doc = parse_json(self.body)
+        return self._doc
+
+
+class HttpUpstream:
+    """Upstream client over kept-alive sockets.  Each request leaves in one
+    write; the reply is read with ``read_reply``, keeping response header
+    order and case so passing traffic can be relayed verbatim.
+
+    Connections are kept alive in a bounded LIFO pool.  A GET that fails on a
+    pooled connection, other than by timing out, is retried once on a fresh
+    one; any other method is never resent, because the upstream may already
+    have acted on it."""
+
+    def __init__(self, base_url: str, timeout_s: float = 10.0):
+        parts = urlsplit(base_url)
+        if parts.scheme not in ("http", ""):
+            raise ValueError(f"unsupported upstream scheme {parts.scheme!r}")
+        self.host = parts.hostname or "127.0.0.1"
+        self.port = parts.port or 80
+        self.timeout_s = timeout_s
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        self._host_field = host if self.port == 80 else f"{host}:{self.port}"
+        self._idle: list[SocketReader] = []
+        self._lock = threading.Lock()
+
+    def request(
+        self,
+        method: str,
+        path: str,
+        headers: Optional[list[tuple[str, str]]] = None,
+        body: bytes = b"",
+        timeout_s: Optional[float] = None,
+    ) -> UpstreamResponse:
+        """Send one request and read its reply within ``timeout_s`` seconds
+        (default: the upstream timeout); with no time left, nothing is sent.
+        Raises UpstreamError when the request cannot be sent or the reply is
+        late, missing, truncated or malformed."""
+        timeout = self.timeout_s if timeout_s is None else timeout_s
+        if timeout <= 0:
+            raise UpstreamError("no time left for the upstream call")
+        message = self._message(method, path, headers or [], body)
+        conn = self._checkout(timeout)
+        while True:
+            pooled = conn is not None
+            try:
+                if conn is None:
+                    conn = self._connect(timeout)
+                conn.deadline = time.monotonic() + timeout
+                conn.sock.sendall(message)
+                status, fields, payload, keep_alive = read_reply(conn, method)
+            except (OSError, FramingError) as exc:
+                if conn is not None:
+                    conn.close()
+                if pooled and method == "GET" and not isinstance(exc, TimeoutError):
+                    conn = None  # the pooled connection was stale: once more, fresh
+                    continue
+                # a malformed reply is as unusable as no reply (fail-closed)
+                raise UpstreamError(str(exc)) from exc
+            if keep_alive and not conn.pending:
+                self._checkin(conn)
+            else:
+                conn.close()
+            return UpstreamResponse(status, fields, payload)
+
+    def _message(
+        self, method: str, path: str, headers: list[tuple[str, str]], body: bytes
+    ) -> bytes:
+        """The request line, Host, the caller's headers minus hop-by-hop,
+        Host and Content-Length, and one Content-Length when there is a body
+        or the method carries one.  As http.client did, ``Accept-Encoding:
+        identity`` is asked for unless the caller names an encoding, so that
+        probe replies stay readable."""
+        if not TOKEN.fullmatch(method.encode()) or not _TARGET.fullmatch(path):
+            raise UpstreamError(f"refusing to send {method!r} {path!r}")
+        lines = [f"{method} {path} HTTP/1.1", f"Host: {self._host_field}"]
+        accept_encoding = False
+        for name, value in headers:
+            lowered = name.lower()
+            if lowered in HOP_BY_HOP or lowered in ("host", "content-length"):
+                continue
+            # a character outside latin-1 is refused by the final encode
+            raw_value = value.encode("latin-1", "replace")
+            if not TOKEN.fullmatch(name.encode()) or _CR_LF_NUL.search(raw_value):
+                raise UpstreamError(f"refusing to send header {name!r}")
+            accept_encoding = accept_encoding or lowered == "accept-encoding"
+            lines.append(f"{name}: {value}")
+        if not accept_encoding:
+            lines.append("Accept-Encoding: identity")
+        if body or method in ("POST", "PUT", "PATCH"):
+            lines.append(f"Content-Length: {len(body)}")
+        lines.append("\r\n")
+        try:
+            return "\r\n".join(lines).encode("latin-1") + body
+        except UnicodeEncodeError as exc:
+            raise UpstreamError("header not encodable as latin-1") from exc
+
+    def _connect(self, timeout: float) -> SocketReader:
+        """A new connection to the upstream: the only place one is opened."""
+        sock = socket.create_connection((self.host, self.port), timeout)
+        # a request leaves in one write; Nagle would only delay it
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return SocketReader(sock)
+
+    def _checkout(self, timeout: float) -> Optional[SocketReader]:
+        """The most recently used idle connection that is still usable, with
+        ``timeout`` set on its socket; None when there is none."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    return None
+                conn = self._idle.pop()
+            # an idle socket with something to read was closed by the peer
+            # or holds stray bytes; either way no reply can be read from it.
+            # poll, unlike select, takes descriptors of 1024 and more.
+            readable = select.poll()
+            readable.register(conn.sock, select.POLLIN)
+            if readable.poll(0):
+                conn.close()
+                continue
+            conn.sock.settimeout(timeout)
+            return conn
+
+    def _checkin(self, conn: SocketReader) -> None:
+        with self._lock:
+            if len(self._idle) < POOL_SIZE:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()

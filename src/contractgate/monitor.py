@@ -10,211 +10,20 @@ monitor treats UNKNOWN as a violation (fail-closed).
 from __future__ import annotations
 
 import json
-import re
-import select
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
-from urllib.parse import urlsplit
 
 from . import expr as E
 from .contracts import Check, Contract
-from .httpreply import TOKEN, FramingError, SocketReader, read_reply
+from .httpreply import HOP_BY_HOP, HttpUpstream, UpstreamError, UpstreamResponse
+from .httpreply import field_values, parse_json
 from .model import ResourceModel, RouteEntry, RouteTable
 
-HOP_BY_HOP = {
-    "connection",
-    "keep-alive",
-    "proxy-authenticate",
-    "proxy-authorization",
-    "te",
-    "trailer",
-    "transfer-encoding",
-    "upgrade",
-}
-POOL_SIZE = 8  # idle kept-alive connections per upstream
-_TARGET = re.compile(r"[!-~]+")  # no whitespace or control character
-_CR_LF_NUL = re.compile(r"[\r\n\x00]")
 _UNSET = object()
 Failed = list[tuple[str, E.TriBool]]  # failing conjuncts' texts and values, in order
-
-
-# ---------------------------------------------------------------------------
-# Transport
-
-
-class UpstreamError(ConnectionError):
-    pass
-
-
-def parse_json(raw: bytes) -> object:
-    """``raw`` parsed as JSON; None when it is empty, not UTF-8 JSON, or
-    nested deeper than the parser's recursion limit (about 1000 levels)."""
-    if not raw:
-        return None
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError, RecursionError):
-        return None
-
-
-@dataclass
-class UpstreamResponse:
-    status: int
-    headers: list[tuple[str, str]]
-    body: bytes
-    _doc: object = field(default=_UNSET, init=False, repr=False, compare=False)
-
-    def header(self, name: str) -> Optional[str]:
-        lowered = name.lower()
-        for k, v in self.headers:
-            if k.lower() == lowered:
-                return v
-        return None
-
-    def json(self) -> Optional[object]:
-        """The body parsed as JSON, or None when it is empty, not JSON or
-        nested too deeply to parse.  Parsed once: every caller gets the same
-        object, to read only."""
-        if self._doc is _UNSET:
-            self._doc = parse_json(self.body)
-        return self._doc
-
-
-class HttpUpstream:
-    """Upstream client over kept-alive sockets.  Each request leaves in one
-    write; the reply is read with the gateway's own framing
-    (``httpreply.read_reply``), keeping response header order and case so
-    passing traffic can be relayed verbatim.
-
-    Connections are kept alive in a bounded LIFO pool.  A GET that fails on a
-    pooled connection, other than by timing out, is retried once on a fresh
-    one; any other method is never resent, because the upstream may already
-    have acted on it."""
-
-    def __init__(self, base_url: str, timeout_s: float = 10.0):
-        parts = urlsplit(base_url)
-        if parts.scheme not in ("http", ""):
-            raise ValueError(f"unsupported upstream scheme {parts.scheme!r}")
-        self.host = parts.hostname or "127.0.0.1"
-        self.port = parts.port or 80
-        self.timeout_s = timeout_s
-        host = f"[{self.host}]" if ":" in self.host else self.host
-        self._host_field = host if self.port == 80 else f"{host}:{self.port}"
-        self._idle: list[SocketReader] = []
-        self._lock = threading.Lock()
-
-    def request(
-        self,
-        method: str,
-        path: str,
-        headers: Optional[list[tuple[str, str]]] = None,
-        body: bytes = b"",
-        timeout_s: Optional[float] = None,
-    ) -> UpstreamResponse:
-        """Send one request and read its reply within ``timeout_s`` seconds
-        (default: the upstream timeout); with no time left, nothing is sent.
-        Raises UpstreamError when the request cannot be sent or the reply is
-        late, missing, truncated or malformed."""
-        timeout = self.timeout_s if timeout_s is None else timeout_s
-        if timeout <= 0:
-            raise UpstreamError("no time left for the upstream call")
-        message = self._message(method, path, headers or [], body)
-        conn = self._checkout(timeout)
-        while True:
-            pooled = conn is not None
-            try:
-                if conn is None:
-                    conn = self._connect(timeout)
-                conn.deadline = time.monotonic() + timeout
-                conn.sock.sendall(message)
-                status, fields, payload, keep_alive = read_reply(conn, method)
-            except (OSError, FramingError) as exc:
-                if conn is not None:
-                    conn.close()
-                if pooled and method == "GET" and not isinstance(exc, TimeoutError):
-                    conn = None  # the pooled connection was stale: once more, fresh
-                    continue
-                # a malformed reply is as unusable as no reply (fail-closed)
-                raise UpstreamError(str(exc)) from exc
-            if keep_alive and not conn.pending:
-                self._checkin(conn)
-            else:
-                conn.close()
-            return UpstreamResponse(status, fields, payload)
-
-    def _message(
-        self, method: str, path: str, headers: list[tuple[str, str]], body: bytes
-    ) -> bytes:
-        """The request line, Host, the caller's headers minus hop-by-hop,
-        Host and Content-Length, and one Content-Length when there is a body
-        or the method carries one.  As http.client did, ``Accept-Encoding:
-        identity`` is asked for unless the caller names an encoding, so that
-        probe replies stay readable."""
-        if not TOKEN.fullmatch(method.encode()) or not _TARGET.fullmatch(path):
-            raise UpstreamError(f"refusing to send {method!r} {path!r}")
-        lines = [f"{method} {path} HTTP/1.1", f"Host: {self._host_field}"]
-        accept_encoding = False
-        for name, value in headers:
-            lowered = name.lower()
-            if lowered in HOP_BY_HOP or lowered in ("host", "content-length"):
-                continue
-            if not TOKEN.fullmatch(name.encode()) or _CR_LF_NUL.search(value):
-                raise UpstreamError(f"refusing to send header {name!r}")
-            accept_encoding = accept_encoding or lowered == "accept-encoding"
-            lines.append(f"{name}: {value}")
-        if not accept_encoding:
-            lines.append("Accept-Encoding: identity")
-        if body or method in ("POST", "PUT", "PATCH"):
-            lines.append(f"Content-Length: {len(body)}")
-        lines.append("\r\n")
-        try:
-            return "\r\n".join(lines).encode("latin-1") + body
-        except UnicodeEncodeError as exc:
-            raise UpstreamError("header not encodable as latin-1") from exc
-
-    def _connect(self, timeout: float) -> SocketReader:
-        """A new connection to the upstream: the only place one is opened."""
-        sock = socket.create_connection((self.host, self.port), timeout)
-        # a request leaves in one write; Nagle would only delay it
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return SocketReader(sock)
-
-    def _checkout(self, timeout: float) -> Optional[SocketReader]:
-        """The most recently used idle connection that is still usable, with
-        ``timeout`` set on its socket; None when there is none."""
-        while True:
-            with self._lock:
-                if not self._idle:
-                    return None
-                conn = self._idle.pop()
-            # an idle socket with something to read was closed by the peer
-            # or holds stray bytes; either way no reply can be read from it.
-            # poll, unlike select, takes descriptors of 1024 and more.
-            readable = select.poll()
-            readable.register(conn.sock, select.POLLIN)
-            if readable.poll(0):
-                conn.close()
-                continue
-            conn.sock.settimeout(timeout)
-            return conn
-
-    def _checkin(self, conn: SocketReader) -> None:
-        with self._lock:
-            if len(self._idle) < POOL_SIZE:
-                self._idle.append(conn)
-                return
-        conn.close()
-
-    def close(self) -> None:
-        """Close the idle connections."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +93,6 @@ class Verdict:
     probe_ms: float = 0.0
     upstream_ms: float = 0.0
     total_ms: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.outcome == "pass"
 
     @property
     def phase(self) -> str:
@@ -506,7 +311,7 @@ class Resolver:
         ):
             resp = self.upstream_response
             if self.phase == "post" and resp is not None and attr_name is not None:
-                subject = resp.header("X-Subject-Token")
+                subject = (field_values(resp.headers, "X-Subject-Token") or [""])[0]
                 if definition.name.lower() == "token" and attr_name == "token" and subject:
                     return E.text(subject)
                 if resp.body:  # without a representation, re-probe
@@ -690,10 +495,7 @@ class Monitor:
 
         upstream_started = time.monotonic()
         try:
-            response = self.upstream.request(
-                ctx.method, ctx.uri, list(ctx.headers.items()), raw_body,
-                timeout_s=ctx.time_left(self.upstream.timeout_s),
-            )
+            response = self._forward(ctx, raw_body)
         except UpstreamError:
             response = None
         finally:
@@ -731,13 +533,18 @@ class Monitor:
         if self.audit_get and self.state_invariants:
             violation = self._audit(ctx)
         try:
-            response = self.upstream.request(
-                ctx.method, ctx.uri, list(ctx.headers.items()), raw_body,
-                timeout_s=ctx.time_left(self.upstream.timeout_s),
-            )
+            response = self._forward(ctx, raw_body)
         except UpstreamError:
             return _error(504, "upstream unreachable")
         return _relay(response, Verdict(outcome="pass"), violation)
+
+    def _forward(self, ctx: RequestContext, raw_body: bytes) -> UpstreamResponse:
+        """Send the request itself upstream within the time its deadline
+        leaves; raises UpstreamError."""
+        return self.upstream.request(
+            ctx.method, ctx.uri, list(ctx.headers.items()), raw_body,
+            timeout_s=ctx.time_left(self.upstream.timeout_s),
+        )
 
     def _audit(self, ctx: RequestContext) -> Optional[ViolationRecord]:
         """Optional mode: on GET, check that at least one state invariant

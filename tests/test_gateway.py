@@ -18,13 +18,13 @@ import pytest
 from contractgate import expr as E
 from contractgate import gateway
 from contractgate.gateway import (
-    MAX_BODY_BYTES,
     GatewayConfig,
     ViolationLog,
     _GatewayHandler,
     build_gateway,
     flip_clock_comparisons,
 )
+from contractgate.httpreply import MAX_BODY_BYTES
 from contractgate.monitor import RequestContext, Verdict, ViolationRecord
 from conftest import password_body
 from oracle import gen_expression_text
@@ -114,6 +114,9 @@ class TestFootprint:
         "email.utils",
         "_hashlib",
         "contractgate.mock_server",
+        "importlib.resources",
+        "tempfile",
+        "shutil",
     }
 
     def test_gateway_process_loads_no_http_tls_or_email_stack(self):

@@ -1,10 +1,12 @@
 """Runtime monitor tests: JSON helpers, request context, monitor variables,
 and the full validation pipeline against the in-process harness."""
 
+import ast
 import json
 import os
 import resource
 import socket
+import sys
 import threading
 import time
 from datetime import datetime, timedelta, timezone
@@ -16,16 +18,20 @@ from hypothesis import strategies as st
 import oracle
 from contractgate import expr as E
 from contractgate import mock_keystone as mk
+from contractgate import monitor as monitor_module
+from contractgate.httpreply import (
+    POOL_SIZE,
+    HttpUpstream,
+    UpstreamError,
+    UpstreamResponse,
+)
 from contractgate.model import RouteTable, derive_routes
 from contractgate.monitor import (
-    HttpUpstream,
     Monitor,
     MonitorVariables,
     RequestContext,
     Resolver,
     Snapshot,
-    UpstreamError,
-    UpstreamResponse,
     json_search,
     json_to_value,
     json_walk,
@@ -739,6 +745,45 @@ class TestUpstreamPool:
         assert len(connects) == 1
         assert connects[0].sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
+    def test_concurrent_callers_share_the_pool(self, harness):
+        """8 threads on one upstream: each reply is the one its caller asked
+        for, and the pool ends bounded, holding no stray bytes."""
+        for n in range(8 * 50):
+            uid = f"u-pool-{n}"
+            harness.store.users[uid] = mk.UserRecord(uid, uid, "pw", ["member"], [])
+        upstream = harness.gateway.monitor.upstream
+        auth = [("X-Auth-Token", harness.authenticate("admin", "secret"))]
+        start = threading.Barrier(8)
+        mismatches, errors = [], []
+
+        def caller(first: int) -> None:
+            try:
+                start.wait(timeout=10)
+                for uid in (f"u-pool-{n}" for n in range(first, first + 50)):
+                    reply = upstream.request("GET", f"/v3/users/{uid}", auth)
+                    if reply.status != 200 or reply.json()["user"]["id"] != uid:
+                        mismatches.append((uid, reply.status, reply.body))
+            except Exception as exc:  # reported below, with the thread's inputs
+                errors.append((first, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(t * 50,), daemon=True)
+                for t in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+        assert len(upstream._idle) <= POOL_SIZE
+        assert not any(conn.pending for conn in upstream._idle)
+
     def test_idle_connection_closed_by_the_upstream_is_not_used(self, harness):
         handler = harness._servers[0].RequestHandlerClass
         handler.timeout = 0.2  # the mock closes connections idle this long
@@ -934,3 +979,18 @@ class TestDoubleCheck:
         env = monitor.resolve_post_env(ctx, contract, response, snapshot)
         failed = monitor.check_postcondition(contract, env)
         assert ("user.role='admin'", E.FALSE) in failed
+
+
+class TestLayering:
+    def test_monitor_holds_no_transport(self):
+        """Sockets, regexes and URL parsing belong to ``httpreply``; the
+        monitor is contract logic only."""
+        with open(monitor_module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert imported & {"socket", "select", "urllib", "re"} == set()
