@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Iterator, Optional
@@ -50,9 +52,12 @@ class Path:
         return self.segments[0] if self.segments else ""
 
 
+RESERVED_HEADS = frozenset(ns.value for ns in Namespace if ns is not Namespace.RESOURCE)
+
+
 def make_path(segments: list[str]) -> Path:
     head = segments[0]
-    if head in ("request", "response", "self"):
+    if head in RESERVED_HEADS:
         return Path(Namespace(head), tuple(segments[1:]))
     return Path(Namespace.RESOURCE, (head.lower(),) + tuple(segments[1:]))
 
@@ -235,7 +240,28 @@ CLOCK_TIME = ClockTime()
 LIT_TRUE = Literal(True)
 LIT_FALSE = Literal(False)
 
-COMPARE_OPS = ("<=", ">=", "<>", "=", "<", ">")
+# The grammar's facts, each stated once: the comparison operators with their
+# meaning, and the connectives with their binding strength (any other node
+# binds at _ATOM).
+COMPARE_OPS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+ORDERING_OPS = frozenset(COMPARE_OPS) - {"=", "<>"}
+_CONNECTIVES = {"==>": (Implies, 1), "or": (Or, 2), "and": (And, 3), "not": (Not, 4)}
+_ATOM = 5
+_PRECEDENCE = {node: (word, prec) for word, (node, prec) in _CONNECTIVES.items()}
+_BINARY = {word: np for word, np in _CONNECTIVES.items() if np[0] is not Not}
+
+
+def _operand_precs(node: type, prec: int) -> tuple[int, int]:
+    """The binding strength a binary connective asks of its left and right
+    operands: ==> groups to the right, and/or to the left."""
+    return (prec + 1, prec) if node is Implies else (prec, prec + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,62 +283,35 @@ class ExprSyntaxError(ValueError):
         )
 
 
-@dataclass
-class _Token:
-    kind: str  # ident, int, string, op, lparen, rparen, arrow, end
-    value: str
-    offset: int
-
-
-_PUNCTUATION = {"(": "lparen", ")": "rparen", ".": "dot"}
+_PUNCTUATION = sorted({"==>", "->", "(", ")", "."} | set(COMPARE_OPS), key=lambda p: (-len(p), p))
+# One token after optional whitespace.  An int is what int() reads (\d, not
+# str.isdigit); an identifier starts with a letter or "_", checked in
+# _tokenize because \w also holds digits such as "²".  ``bad`` matches
+# wherever nothing else does.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<op>" + "|".join(map(re.escape, _PUNCTUATION)) + r")"
+    r"|(?P<string>'[^']*')|(?P<int>\d+)|(?P<ident>\w+)|(?P<end>\Z)|(?P<bad>))"
+)
 _CONSTANTS = {"True": LIT_TRUE, "False": LIT_FALSE, "clockTime": CLOCK_TIME}
+_CALLS = {"size": SizeOf, "oclIsInvalid": IsInvalid}
 
 
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCTUATION:
-            tokens.append(_Token(_PUNCTUATION[c], c, i))
-            i += 1
-        elif src.startswith("==>", i):
-            tokens.append(_Token("op", "==>", i))
-            i += 3
-        elif src.startswith("->", i):
-            tokens.append(_Token("arrow", "->", i))
-            i += 2
-        elif src.startswith("<=", i) or src.startswith(">=", i) or src.startswith("<>", i):
-            tokens.append(_Token("op", src[i : i + 2], i))
-            i += 2
-        elif c in "=<>":
-            tokens.append(_Token("op", c, i))
-            i += 1
-        elif c == "'":
-            j = src.find("'", i + 1)
-            if j < 0:
-                raise ExprSyntaxError(src, i, {"closing quote"})
-            tokens.append(_Token("string", src[i + 1 : j], i))
-            i = j + 1
-        elif c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", src[i:j], i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", src[i:j], i))
-            i = j
-        else:
-            raise ExprSyntaxError(src, i, {"expression"})
-    tokens.append(_Token("end", "", n))
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` for each token, the last of kind ``end``."""
+    tokens: list[tuple[str, str, int]] = []
+    pos = 0
+    while not tokens or tokens[-1][0] != "end":
+        match = _TOKEN.match(src, pos)
+        kind = match.lastgroup
+        offset = match.start(kind)
+        if kind == "bad" or (
+            kind == "ident" and not (src[offset].isalpha() or src[offset] == "_")
+        ):
+            raise ExprSyntaxError(
+                src, offset, {"closing quote" if src.startswith("'", offset) else "expression"}
+            )
+        tokens.append((kind, match[kind], offset))
+        pos = match.end()
     return tokens
 
 
@@ -322,129 +321,89 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def text(self, ahead: int = 0) -> str:
+        return self.tokens[self.pos + ahead][1]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> str:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][1]
+
+    def expect(self, text: str) -> None:
+        if self.text() != text:
+            raise self.fail({text})
+        self.advance()
 
     def fail(self, expected: set[str]) -> ExprSyntaxError:
-        return ExprSyntaxError(self.src, self.peek().offset, expected)
+        return ExprSyntaxError(self.src, self.tokens[self.pos][2], expected)
 
-    # expr := or_expr ("==>" or_expr)*      right-associative
-    def parse_expr(self) -> Expression:
-        parts = [self.parse_or()]
-        while self.peek().kind == "op" and self.peek().value == "==>":
-            self.advance()
-            parts.append(self.parse_or())
-        result = parts[-1]
-        for part in reversed(parts[:-1]):
-            result = Implies(part, result)
-        return result
-
-    def parse_or(self) -> Expression:
-        left = self.parse_and()
-        while self.peek().kind == "ident" and self.peek().value == "or":
-            self.advance()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expression:
+    def parse_expr(self, min_prec: int = 1) -> Expression:
+        """Binary connectives binding at least ``min_prec``, by precedence
+        climbing."""
         left = self.parse_unary()
-        while self.peek().kind == "ident" and self.peek().value == "and":
+        while (found := _BINARY.get(self.text())) is not None and found[1] >= min_prec:
+            node, prec = found
             self.advance()
-            left = And(left, self.parse_unary())
+            left = node(left, self.parse_expr(_operand_precs(node, prec)[1]))
         return left
 
     def parse_unary(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.value == "not":
+        if self.text() == "not":
             self.advance()
             return Not(self.parse_unary())
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> Expression:
         left = self.parse_term()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value in COMPARE_OPS:
-            self.advance()
-            right = self.parse_term()
-            return Compare(tok.value, left, right)
+        if self.text() in COMPARE_OPS:
+            op = self.advance()
+            return Compare(op, left, self.parse_term())
         return left
 
     def parse_term(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "lparen":
+        kind, text, _ = self.tokens[self.pos]
+        if text == "(":
             self.advance()
             inner = self.parse_expr()
-            if self.peek().kind != "rparen":
-                raise self.fail({")"})
-            self.advance()
+            self.expect(")")
             return inner
-        if tok.kind == "int":
+        if kind == "int" or kind == "string":
             self.advance()
-            return Literal(int(tok.value))
-        if tok.kind == "string":
-            self.advance()
-            return Literal(tok.value)
-        if tok.kind == "ident":
-            if tok.value in _CONSTANTS:
+            return Literal(int(text) if kind == "int" else text[1:-1])
+        if kind == "ident":
+            if text in _CONSTANTS:
                 self.advance()
-                return _CONSTANTS[tok.value]
-            if tok.value in ("and", "or", "not"):
+                return _CONSTANTS[text]
+            if text in _CONNECTIVES:
                 raise self.fail({"term"})
             return self.parse_path_term()
         raise self.fail({"(", "literal", "clockTime", "path"})
 
     def parse_path_term(self) -> Expression:
-        segments = [self.advance().value]
-        call: Optional[str] = None
-        while True:
-            tok = self.peek()
-            if tok.kind == "dot" or tok.kind == "arrow":
-                nxt = self.tokens[self.pos + 1]
-                if nxt.kind != "ident":
-                    raise self.fail({"identifier"})
-                # a trailing size()/oclIsInvalid() call ends the path
-                if nxt.value in ("size", "oclIsInvalid"):
-                    after = self.tokens[self.pos + 2]
-                    if after.kind == "lparen":
-                        self.advance()  # dot/arrow
-                        self.advance()  # callname
-                        self.advance()  # (
-                        if self.peek().kind != "rparen":
-                            raise self.fail({")"})
-                        self.advance()
-                        call = nxt.value
-                        break
-                if tok.kind == "arrow":
-                    raise self.fail({"size()", "oclIsInvalid()"})
+        segments = [self.advance()]
+        while self.text() in (".", "->"):
+            if self.tokens[self.pos + 1][0] != "ident":
+                raise self.fail({"identifier"})
+            # a trailing size()/oclIsInvalid() call ends the path
+            if self.text(1) in _CALLS and self.text(2) == "(":
                 self.advance()
-                segments.append(self.advance().value)
-            else:
-                break
-        path = make_path(segments)
-        if call == "size":
-            return SizeOf(path)
-        if call == "oclIsInvalid":
-            return IsInvalid(path)
-        return PathRef(path)
+                call = _CALLS[self.advance()]
+                self.advance()
+                self.expect(")")
+                return call(make_path(segments))
+            if self.text() == "->":
+                raise self.fail({"size()", "oclIsInvalid()"})
+            self.advance()
+            segments.append(self.advance())
+        return PathRef(make_path(segments))
 
 
 def parse_expression(src: str) -> Expression:
     parser = _Parser(src)
     expr = parser.parse_expr()
-    if parser.peek().kind != "end":
+    if parser.tokens[parser.pos][0] != "end":
         raise parser.fail({"end of input", "operator"})
     return expr
 
 
 # ---------------------------------------------------------------------------
 # Printer
-
-_ATOM_PREC = 5  # binding strength: ==> 1, or 2, and 3, not 4, any other node 5
 
 
 def to_text(e: Expression) -> str:
@@ -454,16 +413,13 @@ def to_text(e: Expression) -> str:
 
 def _print(e: Expression, parent: int) -> str:
     """``e`` printed, in parentheses when it binds more loosely than
-    ``parent``; ==> groups to the right, and/or to the left."""
-    prec = _ATOM_PREC
-    if isinstance(e, Implies):
-        prec, s = 1, f"{_print(e.left, 2)} ==> {_print(e.right, 1)}"
-    elif isinstance(e, Or):
-        prec, s = 2, f"{_print(e.left, 2)} or {_print(e.right, 3)}"
-    elif isinstance(e, And):
-        prec, s = 3, f"{_print(e.left, 3)} and {_print(e.right, 4)}"
-    elif isinstance(e, Not):
-        prec, s = 4, f"not {_print(e.operand, 4)}"
+    ``parent``."""
+    word, prec = _PRECEDENCE.get(type(e), ("", _ATOM))
+    if isinstance(e, Not):
+        s = f"{word} {_print(e.operand, prec)}"
+    elif word:
+        left, right = _operand_precs(type(e), prec)
+        s = f"{_print(e.left, left)} {word} {_print(e.right, right)}"
     elif isinstance(e, Compare):
         s = f"{_print(e.left, prec)}{e.op}{_print(e.right, prec)}"
     elif isinstance(e, SizeOf):
@@ -586,44 +542,26 @@ def _eval_compare(e: Compare, env: Environment, antecedent: bool) -> TriBool:
     rv = _operand_value(e.right, env, antecedent)
     if lv.kind in (Kind.ABSENT, Kind.INVALID) or rv.kind in (Kind.ABSENT, Kind.INVALID):
         return UNKNOWN
-    lk, rk = lv.kind, rv.kind
     # coerce ISO text against a timestamp so probe strings compare by time
-    if lk is Kind.TIMESTAMP and rk is Kind.TEXT:
-        parsed = parse_timestamp(rv.data)
-        if parsed is not None:
-            rv, rk = timestamp(parsed), Kind.TIMESTAMP
-    elif rk is Kind.TIMESTAMP and lk is Kind.TEXT:
-        parsed = parse_timestamp(lv.data)
-        if parsed is not None:
-            lv, lk = timestamp(parsed), Kind.TIMESTAMP
-    comparable = (
-        lk is rk
-        or (lk in _NUMERIC and rk in _NUMERIC)
-    )
-    if not comparable:
-        # values of different kinds are decidably unequal; ordering between
-        # them is undefined
-        if e.op == "=":
-            return FALSE
-        if e.op == "<>":
-            return TRUE
-        return UNKNOWN
-    l, r = lv.data, rv.data
-    if e.op == "=":
-        return from_bool(l == r)
-    if e.op == "<>":
-        return from_bool(l != r)
-    if lk in (Kind.BOOLEAN, Kind.DOCUMENT) or rk in (Kind.BOOLEAN, Kind.DOCUMENT):
-        return UNKNOWN  # no ordering on booleans or documents
-    if e.op == "<":
-        return from_bool(l < r)
-    if e.op == "<=":
-        return from_bool(l <= r)
-    if e.op == ">":
-        return from_bool(l > r)
-    if e.op == ">=":
-        return from_bool(l >= r)
-    raise ValueError(f"unknown comparison operator {e.op!r}")
+    if lv.kind is Kind.TIMESTAMP and rv.kind is Kind.TEXT:
+        rv = _as_timestamp(rv)
+    elif rv.kind is Kind.TIMESTAMP and lv.kind is Kind.TEXT:
+        lv = _as_timestamp(lv)
+    lk, rk = lv.kind, rv.kind
+    comparable = lk is rk or (lk in _NUMERIC and rk in _NUMERIC)
+    if e.op in ORDERING_OPS:
+        # no ordering between kinds, nor on booleans or documents
+        if not comparable or lk in (Kind.BOOLEAN, Kind.DOCUMENT):
+            return UNKNOWN
+    elif not comparable:
+        return from_bool(e.op == "<>")  # values of different kinds are unequal
+    return from_bool(COMPARE_OPS[e.op](lv.data, rv.data))
+
+
+def _as_timestamp(v: Value) -> Value:
+    """Text read as a timestamp; unparseable text stays text."""
+    parsed = parse_timestamp(v.data)
+    return v if parsed is None else timestamp(parsed)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def flip_clock_comparisons(e: E.Expression) -> E.Expression:
     def flip(node: E.Expression) -> E.Expression:
         if (
             isinstance(node, E.Compare)
-            and node.op in ("<", "<=", ">", ">=")
+            and node.op in E.ORDERING_OPS
             and isinstance(node.left, E.ClockTime) != isinstance(node.right, E.ClockTime)
         ):
             return E.Compare(node.op, node.right, node.left)

@@ -128,15 +128,27 @@ def request_framing(
     if field_values(fields, "transfer-encoding"):
         raise FramingError("Transfer-Encoding is not supported; send Content-Length", 411)
     lengths = field_values(fields, "content-length")
-    if len(lengths) > 1 or any(not (v.isascii() and v.isdigit()) for v in lengths):
+    if len(lengths) > 1:
         raise FramingError("malformed Content-Length")
-    length = int(lengths[0]) if lengths else 0
+    length = _content_length(lengths[0]) if lengths else 0
     if length > MAX_BODY_BYTES:
         raise FramingError("request body too large", 413)
     connection = field_tokens(fields, "connection")
     keep_alive = "close" not in connection and (not http_1_0 or "keep-alive" in connection)
     expect = [v.lower() for v in field_values(fields, "expect")]
     return keep_alive, length, not http_1_0 and expect == ["100-continue"]
+
+
+def _content_length(value: str) -> int:
+    """A Content-Length value as a number: ASCII digits, else 400.  More
+    than 18 digits after the leading zeros (10**18 bytes or more) is 413,
+    decided before int(), which refuses a string of over 4300 digits."""
+    if not (value.isascii() and value.isdigit()):
+        raise FramingError("malformed Content-Length")
+    digits = value.lstrip("0")
+    if len(digits) > 18:
+        raise FramingError("Content-Length too large", 413)
+    return int(digits or "0")
 
 
 class SocketReader:
@@ -208,9 +220,9 @@ def read_reply(
     skipped (101 is malformed: no upgrade is ever asked for).  A reply to
     HEAD, 204 and 304 has no body.  ``chunked`` is decoded and its trailers
     dropped; any other Transfer-Encoding, or one beside a Content-Length, is
-    malformed.  Several Content-Length values must be equal.  With no length
-    the body runs to EOF and the connection is not reused.  A truncated reply
-    is malformed."""
+    malformed.  Several Content-Length values must be equal, and no longer
+    than 18 digits past leading zeros.  With no length the body runs to EOF
+    and the connection is not reused.  A truncated reply is malformed."""
     while True:
         match = _STATUS_LINE.fullmatch(reader.readline(MAX_LINE + 1))
         if match is None:
@@ -226,18 +238,18 @@ def read_reply(
         for value in field_values(fields, "content-length")
         for part in value.split(",")
     }
-    if len(lengths) > 1 or any(not (v.isascii() and v.isdigit()) for v in lengths):
+    if len(lengths) > 1:
         raise FramingError("malformed Content-Length")
+    length = _content_length(lengths.pop()) if lengths else None
     codings = field_values(fields, "transfer-encoding")
     keep_alive = match[1] != b"0" and "close" not in field_tokens(fields, "connection")
     if method == "HEAD" or status in (204, 304):
         body = b""
     elif codings:
-        if lengths or [c.lower() for c in codings] != ["chunked"]:
+        if length is not None or [c.lower() for c in codings] != ["chunked"]:
             raise FramingError("unsupported Transfer-Encoding")
         body = _read_chunked(reader)
-    elif lengths:
-        length = int(lengths.pop())
+    elif length is not None:
         body = reader.read(length)
         if len(body) < length:
             raise FramingError("truncated body")

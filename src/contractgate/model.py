@@ -29,7 +29,6 @@ from . import expr as E
 
 ATTRIBUTE_TYPES = ("string", "integer", "boolean", "timestamp", "document")
 SIDE_EFFECT_METHODS = ("PUT", "POST", "DELETE")
-RESERVED_HEADS = ("request", "response", "self")
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ROLE_SEGMENT_RE = re.compile(r"^[a-z0-9_-]+$")
@@ -355,7 +354,7 @@ def load_model(
             if not m:
                 raise ModelError(f"malformed bind line: {stripped!r}", lineno)
             segments = m.group("path").split(".")
-            if len(segments) < 2 or segments[0] in RESERVED_HEADS:
+            if len(segments) < 2 or segments[0] in E.RESERVED_HEADS:
                 raise ModelError("bind path must be <resource>.<attribute>", lineno)
             bindings.append(
                 Binding(

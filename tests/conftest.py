@@ -3,6 +3,7 @@ in-process mock + gateway harness."""
 
 import http.client
 import json
+import os
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -55,6 +56,15 @@ GOLDEN = {
         "user.role = 'admin'"
     ),
 }
+
+
+@pytest.fixture(autouse=True)
+def _no_gateway_environment(monkeypatch):
+    """GatewayConfig applies CONTRACTGATE_* variables over the values a test
+    passes in; clear them so the caller's shell cannot change a test."""
+    for name in list(os.environ):
+        if name.startswith("CONTRACTGATE_"):
+            monkeypatch.delenv(name)
 
 
 def password_body(name: str, password: str, scope=None) -> dict:

@@ -19,9 +19,13 @@ class TestValidate:
 
     def test_syntax_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.model"
-        bad.write_text("resource Root\n  attr x: string\nstate A: a.x ==\n")
-        assert main(["validate", str(bad)]) == EXIT_DOMAIN_ERROR
-        assert "line 3" in capsys.readouterr().err
+        # the second has a character that is a digit to str.isdigit, not to int
+        for state in ("a.x ==", "R.a = \u00b2"):
+            bad.write_text(f"resource Root\n  attr x: string\nstate A: {state}\n")
+            assert main(["validate", str(bad)]) == EXIT_DOMAIN_ERROR
+            err = capsys.readouterr().err
+            assert "line 3" in err
+            assert "Traceback" not in err
 
     def test_diagnostics_printed_and_nonzero(self, tmp_path, capsys):
         doc = (

@@ -98,6 +98,19 @@ class TestParse:
         e = E.parse_expression("user.role = 'admin'")
         assert e.right == E.Literal("admin")
 
+    @pytest.mark.parametrize("digit", ["²", "①"])
+    def test_non_decimal_digit_is_a_syntax_error(self, digit):
+        """A character that ``str.isdigit`` accepts but ``int`` does not is
+        a syntax error at that character, not a crash."""
+        with pytest.raises(E.ExprSyntaxError) as info:
+            E.parse_expression(f"x = {digit}")
+        assert info.value.offset == 4
+
+    def test_decimal_digits_of_any_script_are_an_integer(self):
+        assert E.parse_expression("x = ١٢") == E.Compare(
+            "=", E.PathRef(E.make_path(["x"])), E.Literal(12)
+        )
+
 
 # ---------------------------------------------------------------------------
 # Printing
@@ -174,6 +187,67 @@ class TestEvaluate:
     def test_ordering_across_kinds_is_unknown(self):
         env = env_from({"a.t": E.text("zzz")})
         assert E.evaluate(E.parse_expression("a.t < 3"), env) is E.UNKNOWN
+
+    COMPARE_ENV = {
+        "a.two": E.integer(2),
+        "a.many": E.count(3),
+        "a.word": E.text("beta"),
+        "a.later": E.text("2026-08-01T13:00:00Z"),
+        "a.earlier": E.text("2026-08-01T11:00:00+00:00"),
+        "a.soon": E.text("soon"),
+        "a.yes": E.boolean(True),
+        "a.no": E.boolean(False),
+        "a.doc": E.document({"k": [1]}),
+        "a.same_doc": E.document({"k": [1]}),
+    }
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # the ordering operators on numbers, counts and text
+            ("a.two < 3", E.TRUE),
+            ("a.two < 2", E.FALSE),
+            ("a.two > 1", E.TRUE),
+            ("a.two > 2", E.FALSE),
+            ("a.two >= 2", E.TRUE),
+            ("a.two >= 3", E.FALSE),
+            ("a.two <= 1", E.FALSE),
+            ("a.many > a.two", E.TRUE),
+            ("a.many = 3", E.TRUE),
+            ("a.many <> 3", E.FALSE),
+            ("a.word < 'gamma'", E.TRUE),
+            ("a.word >= 'gamma'", E.FALSE),
+            # ISO text against a timestamp reads as a timestamp, on either side
+            ("clockTime < a.later", E.TRUE),
+            ("a.later > clockTime", E.TRUE),
+            ("a.later <= clockTime", E.FALSE),
+            ("clockTime >= a.earlier", E.TRUE),
+            ("a.earlier >= clockTime", E.FALSE),
+            ("clockTime = a.later", E.FALSE),
+            ("clockTime <> a.earlier", E.TRUE),
+            ("a.later = clockTime", E.FALSE),
+            # unparseable text against a timestamp: unequal, never ordered
+            ("clockTime = a.soon", E.FALSE),
+            ("a.soon = clockTime", E.FALSE),
+            ("clockTime <> a.soon", E.TRUE),
+            ("a.soon <> clockTime", E.TRUE),
+            ("clockTime < a.soon", E.UNKNOWN),
+            ("a.soon >= clockTime", E.UNKNOWN),
+            # booleans and documents compare for equality only
+            ("a.yes = True", E.TRUE),
+            ("a.yes <> a.no", E.TRUE),
+            ("a.no < a.yes", E.UNKNOWN),
+            ("a.yes >= False", E.UNKNOWN),
+            ("a.doc = a.same_doc", E.TRUE),
+            ("a.doc <> a.same_doc", E.FALSE),
+            ("a.doc <= a.same_doc", E.UNKNOWN),
+            ("a.doc > a.same_doc", E.UNKNOWN),
+            ("a.doc = 1", E.FALSE),
+        ],
+    )
+    def test_comparison(self, text, expected):
+        env = env_from(self.COMPARE_ENV)
+        assert E.evaluate(E.parse_expression(text), env) is expected
 
     def test_resolver_called_once_per_path(self):
         calls = []

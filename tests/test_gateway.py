@@ -473,6 +473,8 @@ class TestRequestFraming:
             (b"Content-Length: -5\r\n", 400),
             (b"Content-Length: 2\r\nContent-Length: 3\r\n", 400),
             (f"Content-Length: {MAX_BODY_BYTES + 1}\r\n".encode(), 413),
+            # past the 4300 digits int() reads
+            pytest.param(b"Content-Length: 1" + b"0" * 5000 + b"\r\n", 413, id="5001-digits-413"),
             (b"Transfer-Encoding: chunked\r\n", 411),
         ],
     )

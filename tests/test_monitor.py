@@ -382,6 +382,7 @@ MALFORMED_REPLIES = {
     "truncated chunk": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{}",
     "other coding": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n0\r\n\r\n",
     "no status line": b"{}",
+    "5001-digit length": b"HTTP/1.1 200 OK\r\nContent-Length: 1" + b"0" * 5000 + b"\r\n\r\n{}",
 }
 
 
@@ -549,6 +550,34 @@ class TestUpstreamFraming:
             b"Accept-Encoding: identity",
             b"Content-Length: 2",
         ]
+
+
+class TestResolverNamespaces:
+    """request.headers.* and response.* read the request and the upstream
+    reply in hand; neither probes (the upstream here accepts no connection)."""
+
+    def test_request_header_path(self, raw_gateway):
+        monitor = raw_gateway("http://127.0.0.1:9").monitor
+        ctx = RequestContext.build("GET", "/v3/users", {"X-Auth-Token": "t-1"}, b"")
+        resolver = Resolver(monitor, ctx, "pre", None)
+        assert resolver(E.parse_expression("request.headers.x.auth.token").path) == E.text("t-1")
+        assert resolver(E.parse_expression("request.headers.x.missing").path) is E.ABSENT
+
+    def test_response_paths_read_the_reply_after_the_forward(self, raw_gateway):
+        monitor = raw_gateway("http://127.0.0.1:9").monitor
+        ctx = RequestContext.build("POST", "/v3/auth/tokens", {}, b"{}")
+        reply = UpstreamResponse(201, [], b'{"token": {"user": "alice", "n": 2}}')
+        post = Resolver(monitor, ctx, "post", reply)
+        pre = Resolver(monitor, ctx, "pre", None)
+        for text, value in [
+            ("response.status", E.integer(201)),
+            ("response.user", E.text("alice")),
+            ("response.token.n", E.integer(2)),
+            ("response.missing", E.ABSENT),
+        ]:
+            path = E.parse_expression(text).path
+            assert post(path) == value
+            assert pre(path) is E.ABSENT
 
 
 class TestRequestDeadline:
