@@ -241,8 +241,9 @@ LIT_TRUE = Literal(True)
 LIT_FALSE = Literal(False)
 
 # The grammar's facts, each stated once: the comparison operators with their
-# meaning, and the connectives with their binding strength (any other node
-# binds at _ATOM).
+# meaning, the connectives and comparisons with their binding strength (any
+# other node is a term, which binds tightest), each compound node's operand
+# fields and each connective's Kleene table.
 COMPARE_OPS = {
     "=": operator.eq,
     "<>": operator.ne,
@@ -253,15 +254,19 @@ COMPARE_OPS = {
 }
 ORDERING_OPS = frozenset(COMPARE_OPS) - {"=", "<>"}
 _CONNECTIVES = {"==>": (Implies, 1), "or": (Or, 2), "and": (And, 3), "not": (Not, 4)}
-_ATOM = 5
 _PRECEDENCE = {node: (word, prec) for word, (node, prec) in _CONNECTIVES.items()}
+_PRECEDENCE[Compare] = ("", 5)
 _BINARY = {word: np for word, np in _CONNECTIVES.items() if np[0] is not Not}
+_OPERANDS = {And: ("left", "right"), Or: ("left", "right"), Implies: ("left", "right"),
+             Not: ("operand",), Compare: ("left", "right")}
+_K3 = {And: tri_and, Or: tri_or, Implies: tri_implies, Not: tri_not}
 
 
 def _operand_precs(node: type, prec: int) -> tuple[int, int]:
-    """The binding strength a binary connective asks of its left and right
-    operands: ==> groups to the right, and/or to the left."""
-    return (prec + 1, prec) if node is Implies else (prec, prec + 1)
+    """The binding strength a binary node asks of its left and right
+    operands: ==> groups to the right, and/or to the left, a comparison not
+    at all (its operands are terms)."""
+    return {Implies: (prec + 1, prec), Compare: (prec + 1, prec + 1)}.get(node, (prec, prec + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -411,29 +416,27 @@ def to_text(e: Expression) -> str:
     return _print(e, 0)
 
 
+_LEAF_TEXT = {
+    SizeOf: lambda e: f"{e.path}->size()",
+    IsInvalid: lambda e: f"{e.path}.oclIsInvalid()",
+    PathRef: lambda e: str(e.path),
+    Literal: lambda e: f"'{e.value}'" if isinstance(e.value, str) else str(e.value),
+    ClockTime: lambda e: "clockTime",
+}
+
+
 def _print(e: Expression, parent: int) -> str:
     """``e`` printed, in parentheses when it binds more loosely than
     ``parent``."""
-    word, prec = _PRECEDENCE.get(type(e), ("", _ATOM))
-    if isinstance(e, Not):
+    node = type(e)
+    if node not in _OPERANDS:
+        return _LEAF_TEXT[node](e)
+    word, prec = _PRECEDENCE[node]
+    if len(_OPERANDS[node]) == 1:
         s = f"{word} {_print(e.operand, prec)}"
-    elif word:
-        left, right = _operand_precs(type(e), prec)
-        s = f"{_print(e.left, left)} {word} {_print(e.right, right)}"
-    elif isinstance(e, Compare):
-        s = f"{_print(e.left, prec)}{e.op}{_print(e.right, prec)}"
-    elif isinstance(e, SizeOf):
-        s = f"{e.path}->size()"
-    elif isinstance(e, IsInvalid):
-        s = f"{e.path}.oclIsInvalid()"
-    elif isinstance(e, PathRef):
-        s = str(e.path)
-    elif isinstance(e, Literal):  # True, False, an integer or a quoted string
-        s = f"'{e.value}'" if isinstance(e.value, str) else str(e.value)
-    elif isinstance(e, ClockTime):
-        s = "clockTime"
     else:
-        raise TypeError(f"unknown expression node {e!r}")
+        left, right = _operand_precs(node, prec)
+        s = f"{_print(e.left, left)}{f' {word} ' if word else e.op}{_print(e.right, right)}"
     return f"({s})" if prec < parent else s
 
 
@@ -447,19 +450,18 @@ class Environment:
     ``resolver`` maps Path -> Value; lookups are cached so each path is
     resolved at most once.  In the post phase an optional ``snapshot``
     supplies pre-execution values for paths evaluated inside implication
-    antecedents.
+    antecedents.  ``phase`` is accepted for old callers and ignored.
     """
 
     def __init__(
         self,
         resolver: Callable[[Path], Value],
         now: datetime,
-        phase: str = "pre",
+        phase: object = None,
         snapshot: Optional[dict[Path, Value]] = None,
     ):
         self.resolver = resolver
         self.now = now
-        self.phase = phase
         self.snapshot = snapshot or {}
         self._cache: dict[Path, Value] = {}
 
@@ -475,26 +477,27 @@ class Environment:
         return self._cache[path]
 
 
-def evaluate(e: Expression, env: Environment) -> TriBool:
-    return _eval(e, env, antecedent=False)
+def evaluate(e: Expression, env: Environment, antecedent: bool = False) -> TriBool:
+    """The truth of ``e``; with ``antecedent``, paths read the snapshot as
+    they do under an implication's antecedent."""
+    return _eval(e, env, antecedent)
 
 
 def _eval(e: Expression, env: Environment, antecedent: bool) -> TriBool:
-    if isinstance(e, And):
-        return tri_and(_eval(e.left, env, antecedent), _eval(e.right, env, antecedent))
-    if isinstance(e, Or):
-        return tri_or(_eval(e.left, env, antecedent), _eval(e.right, env, antecedent))
-    if isinstance(e, Not):
+    node = type(e)
+    k3 = _K3.get(node)
+    if k3 is tri_not:
         return tri_not(_eval(e.operand, env, antecedent))
-    if isinstance(e, Implies):
-        return tri_implies(_eval(e.left, env, antecedent=True), _eval(e.right, env, antecedent))
-    if isinstance(e, Compare):
+    if k3 is not None:  # an implication's antecedent reads the snapshot
+        left = _eval(e.left, env, antecedent or k3 is tri_implies)
+        return k3(left, _eval(e.right, env, antecedent))
+    if node is Compare:
         return _eval_compare(e, env, antecedent)
-    if isinstance(e, IsInvalid):
+    if node is IsInvalid:
         v = env.lookup(e.path, antecedent)
         return from_bool(v.kind in (Kind.ABSENT, Kind.INVALID))
     # paths and literals read as booleans; sizes and clockTime are Unknown
-    return _truth_of(_operand_value(e, env, antecedent))
+    return _truth_of(_value(e, env, antecedent))
 
 
 def _truth_of(v: Value) -> TriBool:
@@ -522,24 +525,28 @@ def _size(v: Value) -> Value:
     return integer(1)
 
 
-def _operand_value(e: Expression, env: Environment, antecedent: bool) -> Value:
-    if isinstance(e, PathRef):
+def _value(e: Expression, env: Environment, antecedent: bool) -> Value:
+    """A term's value.  Any other operand is a formula and reads as its
+    truth: a boolean, or Invalid when it is Unknown."""
+    node = type(e)
+    if node is PathRef:
         return env.lookup(e.path, antecedent)
-    if isinstance(e, Literal):
+    if node is Literal:
         return _literal_value(e)
-    if isinstance(e, SizeOf):
+    if node is SizeOf:
         return _size(env.lookup(e.path, antecedent))
-    if isinstance(e, ClockTime):
+    if node is ClockTime:
         return timestamp(env.now)
-    return INVALID
+    truth = _eval(e, env, antecedent)
+    return INVALID if truth is UNKNOWN else boolean(truth is TRUE)
 
 
 _NUMERIC = (Kind.INTEGER, Kind.COUNT)
 
 
 def _eval_compare(e: Compare, env: Environment, antecedent: bool) -> TriBool:
-    lv = _operand_value(e.left, env, antecedent)
-    rv = _operand_value(e.right, env, antecedent)
+    lv = _value(e.left, env, antecedent)
+    rv = _value(e.right, env, antecedent)
     if lv.kind in (Kind.ABSENT, Kind.INVALID) or rv.kind in (Kind.ABSENT, Kind.INVALID):
         return UNKNOWN
     # coerce ISO text against a timestamp so probe strings compare by time
@@ -570,44 +577,30 @@ def _as_timestamp(v: Value) -> Value:
 
 def _walk(e: Expression) -> Iterator[Expression]:
     yield e
-    if isinstance(e, (And, Or, Implies)):
-        yield from _walk(e.left)
-        yield from _walk(e.right)
-    elif isinstance(e, Not):
-        yield from _walk(e.operand)
-    elif isinstance(e, Compare):
-        yield from _walk(e.left)
-        yield from _walk(e.right)
+    for field in _OPERANDS.get(type(e), ()):
+        yield from _walk(getattr(e, field))
 
 
 def free_paths(e: Expression) -> set[Path]:
     """All paths syntactically present in the expression."""
-    paths: set[Path] = set()
-    for node in _walk(e):
-        if isinstance(node, (SizeOf, IsInvalid, PathRef)):
-            paths.add(node.path)
-    return paths
+    return {node.path for node in _walk(e) if isinstance(node, (SizeOf, IsInvalid, PathRef))}
 
 
 def antecedent_paths(e: Expression) -> set[Path]:
     """Paths whose values must be captured before execution: every path under
     an implication antecedent, plus paths in unconditional conjuncts."""
     paths: set[Path] = set()
-    _collect_antecedents(e, paths, under_consequent=False)
+    pending = [(e, False)]
+    while pending:
+        node, under_consequent = pending.pop()
+        if type(node) is Implies:
+            paths |= free_paths(node.left)
+            pending.append((node.right, True))
+        elif type(node) in _K3:
+            pending += [(getattr(node, f), under_consequent) for f in _OPERANDS[type(node)]]
+        elif not under_consequent:
+            paths |= free_paths(node)
     return paths
-
-
-def _collect_antecedents(e: Expression, out: set[Path], under_consequent: bool) -> None:
-    if isinstance(e, Implies):
-        out.update(free_paths(e.left))
-        _collect_antecedents(e.right, out, under_consequent=True)
-    elif isinstance(e, (And, Or)):
-        _collect_antecedents(e.left, out, under_consequent)
-        _collect_antecedents(e.right, out, under_consequent)
-    elif isinstance(e, Not):
-        _collect_antecedents(e.operand, out, under_consequent)
-    elif not under_consequent:
-        out.update(free_paths(e))
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +626,9 @@ def transform(e: Expression, fn: Callable[[Expression], Expression]) -> Expressi
     """Rebuild ``e`` bottom-up: the operands of And/Or/Implies/Not are
     transformed first, then ``fn`` is applied to the rebuilt node.  Leaves
     and comparisons are passed to ``fn`` whole."""
-    if isinstance(e, (And, Or, Implies)):
-        e = type(e)(transform(e.left, fn), transform(e.right, fn))
-    elif isinstance(e, Not):
-        e = Not(transform(e.operand, fn))
+    node = type(e)
+    if node in _K3:
+        e = node(*(transform(getattr(e, f), fn) for f in _OPERANDS[node]))
     return fn(e)
 
 

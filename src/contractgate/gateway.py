@@ -93,13 +93,14 @@ def flip_clock_comparisons(e: E.Expression) -> E.Expression:
     selecting the alternative reading of token-freshness invariants."""
 
     def flip(node: E.Expression) -> E.Expression:
-        if (
-            isinstance(node, E.Compare)
-            and node.op in E.ORDERING_OPS
-            and isinstance(node.left, E.ClockTime) != isinstance(node.right, E.ClockTime)
-        ):
-            return E.Compare(node.op, node.right, node.left)
-        return node
+        if not isinstance(node, E.Compare):
+            return node
+        # a formula operand of a comparison is evaluated, so flip inside it
+        left, right = flip_clock_comparisons(node.left), flip_clock_comparisons(node.right)
+        clock = isinstance(left, E.ClockTime) != isinstance(right, E.ClockTime)
+        if clock and node.op in E.ORDERING_OPS:
+            left, right = right, left
+        return E.Compare(node.op, left, right)
 
     return E.transform(e, flip)
 

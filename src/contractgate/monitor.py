@@ -136,8 +136,11 @@ class ViolationRecord:
 
 class MonitorVariables:
     """Shared store for per-resource ``self.processing`` flags; acquire is an
-    atomic test-and-set so concurrent side-effect calls on one resource
-    serialize their pre-checks."""
+    atomic test-and-set, taken after the precondition passed, so concurrent
+    side-effect calls on one resource serialize their forwards only.  Their
+    pre-checks still overlap: a call can read its pre-state, lose the race
+    to another call's forward, then acquire the freed flag and be forwarded
+    on a precondition that no longer holds."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -415,7 +418,7 @@ class Monitor:
         self, ctx: RequestContext, contract: Contract
     ) -> tuple[E.Environment, Snapshot]:
         resolver = Resolver(self, ctx, "pre", None)
-        env = E.Environment(resolver, now=ctx.arrival_time, phase="pre")
+        env = E.Environment(resolver, now=ctx.arrival_time)
         bindings = {p: env.lookup(p) for p in contract.snapshot_paths}
         return env, Snapshot(bindings=bindings, captured_at=ctx.arrival_time)
 
@@ -427,9 +430,7 @@ class Monitor:
         snapshot: Snapshot,
     ) -> E.Environment:
         resolver = Resolver(self, ctx, "post", upstream_response)
-        return E.Environment(
-            resolver, now=ctx.arrival_time, phase="post", snapshot=snapshot.bindings
-        )
+        return E.Environment(resolver, now=ctx.arrival_time, snapshot=snapshot.bindings)
 
     # -- checks
 
@@ -619,7 +620,7 @@ def _failed_conjuncts(checks: tuple[Check, ...], env: E.Environment) -> Failed:
         if value is E.TRUE:
             continue
         split = check.antecedent is not None
-        if split and E._eval(check.antecedent, env, antecedent=True) is E.TRUE:
+        if split and E.evaluate(check.antecedent, env, antecedent=True) is E.TRUE:
             failed += _failed_conjuncts(check.consequent, env)
         else:
             failed.append((check.text, value))

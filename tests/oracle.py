@@ -239,7 +239,7 @@ def check_postcondition(contract, env: E.Environment) -> list:
         if value is E.TRUE:
             continue
         if isinstance(conjunct, E.Implies):
-            antecedent = E._eval(conjunct.left, env, antecedent=True)
+            antecedent = E.evaluate(conjunct.left, env, antecedent=True)
             if antecedent is E.TRUE:
                 # name the failing consequent conjuncts for diagnosis
                 for part in E.conjuncts(conjunct.right):

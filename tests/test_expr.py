@@ -4,6 +4,8 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractgate import expr as E
 from oracle import (
@@ -116,6 +118,41 @@ class TestParse:
 # Printing
 
 
+def _paths():
+    # keywords and "end" are legal segments after a "."
+    return st.builds(
+        lambda head, rest: E.make_path([head] + rest),
+        st.sampled_from(["a", "Token", "self", "request", "response"]),
+        st.lists(st.sampled_from(["and", "or", "not", "end", "x"]), min_size=1, max_size=2),
+    )
+
+
+_LEAVES = st.one_of(
+    st.builds(E.PathRef, _paths()),
+    st.builds(E.SizeOf, _paths()),
+    st.builds(E.IsInvalid, _paths()),
+    st.just(E.CLOCK_TIME),
+    st.builds(E.Literal, st.one_of(
+        st.booleans(),
+        st.integers(min_value=0, max_value=10**12),
+        st.text(st.characters(blacklist_characters="'"), max_size=4),
+    )),
+)
+
+
+def _trees(children):
+    return st.one_of(
+        st.builds(E.Not, children),
+        st.builds(E.And, children, children),
+        st.builds(E.Or, children, children),
+        st.builds(E.Implies, children, children),
+        st.builds(E.Compare, st.sampled_from(sorted(E.COMPARE_OPS)), children, children),
+    )
+
+
+ASTS = st.recursive(_LEAVES, _trees, max_leaves=12)
+
+
 class TestPrint:
     def test_compact_comparisons_spaced_connectives(self):
         e = E.parse_expression("user.role = 'admin' and token.token->size()=1")
@@ -126,6 +163,17 @@ class TestPrint:
         assert E.to_text(e) == "a.x=1 and (b.x=2 or c.x=3)"
         e2 = E.parse_expression("(a.x=1 and b.x=2) or c.x=3")
         assert E.to_text(e2) == "a.x=1 and b.x=2 or c.x=3"
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(ASTS)
+    def test_round_trip_on_generated_trees(self, e):
+        # reprs, not ==: Literal(True) == Literal(1) under dataclass equality
+        assert repr(E.parse_expression(E.to_text(e))) == repr(e)
+
+    def test_comparison_operand_keeps_its_parentheses(self):
+        for text in ("(a.x=True)=True", "(not a.x)=False", "a.y<>(a.x or a.z)"):
+            assert E.to_text(E.parse_expression(text)) == text
+        assert E.to_text(E.parse_expression("not a.x=True")) == "not a.x=True"
 
     def test_round_trip_on_generated_texts(self):
         rng = random.Random(424242)
@@ -174,6 +222,18 @@ class TestEvaluate:
         assert E.evaluate(E.parse_expression("a.bad.oclIsInvalid()"), env) is E.TRUE
         assert E.evaluate(E.parse_expression("a.gone.oclIsInvalid()"), env) is E.TRUE
         assert E.evaluate(E.parse_expression("a.ok.oclIsInvalid()"), env) is E.FALSE
+
+    def test_formula_operand_of_a_comparison_reads_as_a_boolean(self):
+        env = env_from({"a.x": E.boolean(True)})
+        assert E.evaluate(E.parse_expression("a.x.oclIsInvalid() = False"), env) is E.TRUE
+        assert E.evaluate(E.parse_expression("a.gone.oclIsInvalid() = False"), env) is E.FALSE
+        assert E.evaluate(E.parse_expression("(a.x = True) = True"), env) is E.TRUE
+        assert E.evaluate(E.parse_expression("(not a.x) <> a.x"), env) is E.TRUE
+
+    def test_unknown_formula_operand_makes_a_comparison_unknown(self):
+        env = env_from({"a.x": E.boolean(True)})
+        for text in ("(a.gone = 1) = True", "(a.x and a.gone) <> False", "a.x = (a.gone < 2)"):
+            assert E.evaluate(E.parse_expression(text), env) is E.UNKNOWN
 
     def test_clock_comparison_uses_env_now(self):
         env = env_from({"token.expires_at": E.timestamp(NOW.replace(hour=13))})

@@ -77,6 +77,12 @@ class TestFlipClockComparisons:
         )
         assert "token.expires_at<clockTime" in E.to_text(flip_clock_comparisons(e))
 
+    def test_recurses_into_comparison_operands(self):
+        # a formula operand of a comparison is evaluated, so it is flipped too
+        e = E.parse_expression("(clockTime <= token.expires_at) = (not clockTime > a.t)")
+        assert E.to_text(flip_clock_comparisons(e)) == (
+            "(token.expires_at<=clockTime)=(not a.t>clockTime)"
+        )
 
     def test_flipping_twice_is_the_identity(self):
         rng = random.Random(41)

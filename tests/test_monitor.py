@@ -1023,3 +1023,37 @@ class TestLayering:
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
         assert imported & {"socket", "select", "urllib", "re"} == set()
+
+    def test_only_expr_reads_its_private_names(self):
+        """Every other module, runtime or test, goes through ``expr``'s
+        public functions: no ``E._name`` and no ``from expr import _name``."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        package, tests = os.path.join(root, "src", "contractgate"), os.path.join(root, "tests")
+        sources = [os.path.join(d, name) for d in (package, tests)
+                   for name in sorted(os.listdir(d)) if name.endswith(".py")]
+        sources.remove(os.path.join(package, "expr.py"))
+        reads = []
+        for path in sources:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            aliases = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    aliases.update(a.asname or a.name for a in node.names
+                                   if a.name == "contractgate.expr")
+                elif isinstance(node, ast.ImportFrom):
+                    module = "." * node.level + (node.module or "")
+                    if module in ("contractgate", "."):
+                        aliases.update(a.asname or a.name for a in node.names
+                                       if a.name == "expr")
+                    elif module in ("contractgate.expr", ".expr"):
+                        reads += [(path, a.name) for a in node.names
+                                  if a.name.startswith("_")]
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in aliases
+                        and node.attr.startswith("_")
+                        and not node.attr.startswith("__")):
+                    reads.append((path, node.attr))
+        assert reads == []
