@@ -466,15 +466,18 @@ class Environment:
         self._cache: dict[Path, Value] = {}
 
     def lookup(self, path: Path, antecedent: bool = False) -> Value:
-        if antecedent and path in self.snapshot:
-            return self.snapshot[path]
-        if path not in self._cache:
+        # one dict read each: a stored Value is never None
+        value = self.snapshot.get(path) if antecedent else None
+        if value is None:
+            value = self._cache.get(path)
+        if value is None:
             try:
-                self._cache[path] = self.resolver(path)
+                value = self.resolver(path)
             except Exception:
                 # resolver failures fold into Invalid (fail-closed)
-                self._cache[path] = INVALID
-        return self._cache[path]
+                value = INVALID
+            self._cache[path] = value
+        return value
 
 
 def evaluate(e: Expression, env: Environment, antecedent: bool = False) -> TriBool:

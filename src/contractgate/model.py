@@ -1,18 +1,8 @@
 """Declarative resource + state-machine model: types, loader, validation and
 URI route derivation.
 
-Models are loaded from a line-oriented UTF-8 document:
-
-    resource <name> [collection]
-      attr <name>: <type> [id]
-    assoc <source> -> <target> as <role_name> [<min>..<max|*>]
-    state <name>: <expression>
-    transition <id>: <source> -> <target> on <METHOD> <uri_template>
-        [guard: <expr>] [effect: <expr>] [actor: <role>]
-    rule <id> on <METHOD> <uri_template>: if <expr> then <expr>
-    rule <id> on <METHOD> <uri_template>: always <expr>
-    bind <resource.attr> from <request|token> <json.path>
-
+Models are loaded from a line-oriented UTF-8 document of directives, one a
+line; ``_DIRECTIVES`` holds the pattern each directive's line must match.
 Comments start with ``#``.  A resource whose name starts with ``collection_``
 is treated as a collection even without the explicit flag.  The first
 declared resource is the model root; the first declared state is initial.
@@ -21,7 +11,7 @@ declared resource is the model root; the first declared state is initial.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -192,27 +182,37 @@ class RouteTable:
 # Document loading
 
 
-_TRANSITION_RE = re.compile(
-    r"^(?P<id>\S+)\s*:\s*(?P<source>\S+)\s*->\s*(?P<target>\S+)\s+on\s+"
-    r"(?P<method>[A-Z]+)\s+(?P<uri>\S+)"
-    r"(?:\s+guard:\s*(?P<guard>.*?))?"
-    r"(?:\s+effect:\s*(?P<effect>.*?))?"
-    r"(?:\s+actor:\s*(?P<actor>\S+))?\s*$"
-)
+# Each directive keyword and the pattern the rest of its line must match.
+_DIRECTIVES = {
+    "resource": re.compile(r"(?P<name>\S+)(?P<flags>.*)"),
+    "attr": re.compile(r"(?P<name>\S+)\s*:\s*(?P<type>\S+)(?P<marked>\s+id)?\s*"),
+    "assoc": re.compile(
+        r"(?P<source>\S+)\s*->\s*(?P<target>\S+)\s+as\s+(?P<role>\S+)"
+        r"(?:\s+(?P<min>\d+)\.\.(?P<max>\d+|\*))?\s*"
+    ),
+    "state": re.compile(r"(?P<name>[^:]*?)\s*:(?P<invariant>.*)"),
+    "transition": re.compile(
+        r"(?P<id>\S+)\s*:\s*(?P<source>\S+)\s*->\s*(?P<target>\S+)\s+on\s+"
+        r"(?P<method>[A-Z]+)\s+(?P<uri>\S+)"
+        r"(?:\s+guard:\s*(?P<guard>.*?))?"
+        r"(?:\s+effect:\s*(?P<effect>.*?))?"
+        r"(?:\s+actor:\s*(?P<actor>\S+))?\s*"
+    ),
+    "rule": re.compile(
+        r"(?P<id>\S+)\s+on\s+(?P<method>[A-Z]+)\s+(?P<uri>\S+)\s*:\s*"
+        r"(?:if\s+(?P<if>.*?)\s+then\s+(?P<then>.*)|always\s+(?P<always>.*))"
+    ),
+    "bind": re.compile(
+        r"(?P<path>\S+)\s+from\s+(?P<source>request|token)\s+(?P<json>\S+)\s*"
+    ),
+}
 
-_RULE_RE = re.compile(
-    r"^(?P<id>\S+)\s+on\s+(?P<method>[A-Z]+)\s+(?P<uri>\S+)\s*:\s*"
-    r"(?:if\s+(?P<if>.*?)\s+then\s+(?P<then>.*)|always\s+(?P<always>.*))$"
-)
-
-_ASSOC_RE = re.compile(
-    r"^(?P<source>\S+)\s*->\s*(?P<target>\S+)\s+as\s+(?P<role>\S+)"
-    r"(?:\s+(?P<min>\d+)\.\.(?P<max>\d+|\*))?\s*$"
-)
-
-_BIND_RE = re.compile(
-    r"^(?P<path>\S+)\s+from\s+(?P<source>request|token)\s+(?P<json>\S+)\s*$"
-)
+# The error for a line its directive's pattern refuses, where it is not
+# "malformed <keyword> line: <line>".
+_MALFORMED = {
+    "resource": "resource requires a name",
+    "state": "state requires ': <expression>'",
+}
 
 
 def load_model(
@@ -228,145 +228,101 @@ def load_model(
     transitions: list[Transition] = []
     rules: list[SecurityRule] = []
 
-    current: Optional[dict] = None  # resource under construction
-
-    def finish_resource() -> None:
-        nonlocal current
-        if current is None:
-            return
-        definitions.append(
-            ResourceDefinition(
-                name=current["name"],
-                kind=current["kind"],
-                attributes=tuple(current["attrs"]),
-                id_attribute=current["id_attr"],
-            )
-        )
-        current = None
-
+    previous = None  # the last line's directive: an attr line extends a resource block
     for lineno, raw in enumerate(document.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        stripped = line.strip()
+        stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         keyword, _, rest = stripped.partition(" ")
-        rest = rest.strip()
+        pattern = _DIRECTIVES.get(keyword)
+        if pattern is None:
+            raise ModelError(f"unknown directive {keyword!r}", lineno)
+        if keyword == "attr" and previous not in ("resource", "attr"):
+            raise ModelError("attr outside a resource block", lineno)
+        m = pattern.fullmatch(rest.strip())
+        if m is None:
+            message = _MALFORMED.get(keyword, f"malformed {keyword} line: {stripped!r}")
+            raise ModelError(message, lineno)
+        previous = keyword
 
         if keyword == "resource":
-            finish_resource()
-            parts = rest.split()
-            if not parts:
-                raise ModelError("resource requires a name", lineno)
-            name = parts[0]
+            name = m["name"]
             if not _IDENT_RE.match(name):
                 raise ModelError(f"invalid resource name {name!r}", lineno)
-            is_collection = "collection" in parts[1:] or name.startswith("collection_")
-            current = {
-                "name": name,
-                "kind": "collection" if is_collection else "normal",
-                "attrs": [],
-                "id_attr": None,
-            }
+            is_collection = "collection" in m["flags"].split() or name.startswith("collection_")
+            definitions.append(
+                ResourceDefinition(name=name, kind="collection" if is_collection else "normal")
+            )
         elif keyword == "attr":
-            if current is None:
-                raise ModelError("attr outside a resource block", lineno)
-            m = re.match(r"^(\S+)\s*:\s*(\S+)(\s+id)?\s*$", rest)
-            if not m:
-                raise ModelError(f"malformed attr line: {stripped!r}", lineno)
-            attr_name, attr_type, id_flag = m.group(1), m.group(2), m.group(3)
-            if attr_type not in ATTRIBUTE_TYPES:
+            if m["type"] not in ATTRIBUTE_TYPES:
                 raise ModelError(
-                    f"unknown attribute type {attr_type!r} "
+                    f"unknown attribute type {m['type']!r} "
                     f"(expected one of {', '.join(ATTRIBUTE_TYPES)})",
                     lineno,
                 )
-            current["attrs"].append(Attribute(attr_name, attr_type))
-            if id_flag or (attr_name == "id" and current["id_attr"] is None):
-                current["id_attr"] = attr_name
+            block = definitions[-1]
+            named_id = m["name"] == "id" and block.id_attribute is None
+            definitions[-1] = replace(
+                block,
+                attributes=block.attributes + (Attribute(m["name"], m["type"]),),
+                id_attribute=m["name"] if m["marked"] or named_id else block.id_attribute,
+            )
         elif keyword == "assoc":
-            finish_resource()
-            m = _ASSOC_RE.match(rest)
-            if not m:
-                raise ModelError(f"malformed assoc line: {stripped!r}", lineno)
-            min_card = int(m.group("min")) if m.group("min") else 0
-            max_raw = m.group("max")
-            max_card = UNBOUNDED if (max_raw is None or max_raw == "*") else int(max_raw)
             associations.append(
                 Association(
-                    source=m.group("source"),
-                    target=m.group("target"),
-                    role_name=m.group("role"),
-                    min_card=min_card,
-                    max_card=max_card,
+                    source=m["source"],
+                    target=m["target"],
+                    role_name=m["role"],
+                    min_card=int(m["min"]) if m["min"] else 0,
+                    max_card=UNBOUNDED if m["max"] in (None, "*") else int(m["max"]),
                 )
             )
         elif keyword == "state":
-            finish_resource()
-            name, sep, invariant_src = rest.partition(":")
-            if not sep:
-                raise ModelError("state requires ': <expression>'", lineno)
-            invariant = _parse(invariant_src, lineno)
-            states.append(State(name.strip(), invariant))
+            states.append(State(m["name"], _parse(m["invariant"], lineno)))
         elif keyword == "transition":
-            finish_resource()
-            m = _TRANSITION_RE.match(rest)
-            if not m:
-                raise ModelError(f"malformed transition line: {stripped!r}", lineno)
-            method = m.group("method")
-            if method not in SIDE_EFFECT_METHODS:
+            if m["method"] not in SIDE_EFFECT_METHODS:
                 raise ModelError(
-                    f"transition {m.group('id')!r} triggered by {method}: only "
+                    f"transition {m['id']!r} triggered by {m['method']}: only "
                     f"side-effect methods ({', '.join(SIDE_EFFECT_METHODS)}) may "
                     "trigger transitions",
                     lineno,
                 )
             transitions.append(
                 Transition(
-                    id=m.group("id"),
-                    source=m.group("source"),
-                    target=m.group("target"),
-                    http_method=method,
-                    uri_template=m.group("uri"),
-                    guard=_parse(m.group("guard"), lineno) if m.group("guard") else None,
-                    effect=_parse(m.group("effect"), lineno) if m.group("effect") else None,
-                    actor_role=m.group("actor"),
+                    id=m["id"],
+                    source=m["source"],
+                    target=m["target"],
+                    http_method=m["method"],
+                    uri_template=m["uri"],
+                    # an empty guard: or effect: clause reads as none
+                    guard=_parse(m["guard"] or None, lineno),
+                    effect=_parse(m["effect"] or None, lineno),
+                    actor_role=m["actor"],
                 )
             )
         elif keyword == "rule":
-            finish_resource()
-            m = _RULE_RE.match(rest)
-            if not m:
-                raise ModelError(f"malformed rule line: {stripped!r}", lineno)
             rules.append(
                 SecurityRule(
-                    id=m.group("id"),
-                    http_method=m.group("method"),
-                    uri_template=m.group("uri"),
-                    kind="conditional" if m.group("always") is None else "unconditional",
-                    if_expr=_parse(m.group("if"), lineno),
-                    then_expr=_parse(m.group("then"), lineno),
-                    rule_expr=_parse(m.group("always"), lineno),
+                    id=m["id"],
+                    http_method=m["method"],
+                    uri_template=m["uri"],
+                    kind="conditional" if m["always"] is None else "unconditional",
+                    if_expr=_parse(m["if"], lineno),
+                    then_expr=_parse(m["then"], lineno),
+                    rule_expr=_parse(m["always"], lineno),
                 )
             )
-        elif keyword == "bind":
-            finish_resource()
-            m = _BIND_RE.match(rest)
-            if not m:
-                raise ModelError(f"malformed bind line: {stripped!r}", lineno)
-            segments = m.group("path").split(".")
+        else:  # bind
+            segments = m["path"].split(".")
             if len(segments) < 2 or segments[0] in E.RESERVED_HEADS:
                 raise ModelError("bind path must be <resource>.<attribute>", lineno)
             bindings.append(
                 Binding(
                     path=E.make_path(segments),
-                    source=m.group("source"),
-                    json_path=tuple(m.group("json").split(".")),
+                    source=m["source"],
+                    json_path=tuple(m["json"].split(".")),
                 )
             )
-        else:
-            raise ModelError(f"unknown directive {keyword!r}", lineno)
-
-    finish_resource()
 
     if not definitions:
         raise ModelError("empty resource model")
@@ -442,7 +398,6 @@ def validate_model(
         if d.id_attribute and d.attribute(d.id_attribute) is None:
             diags.append(f"{d.name}: id attribute {d.id_attribute!r} not declared")
 
-    name_set = set(names)
     seen_roles: set[tuple[str, str]] = set()
     for a in rm.associations:
         if not a.role_name:
@@ -457,10 +412,6 @@ def validate_model(
         if (a.source, a.role_name) in seen_roles:
             diags.append(f"{a.source}: duplicate role name {a.role_name!r}")
         seen_roles.add((a.source, a.role_name))
-        if a.source not in name_set:
-            diags.append(f"association source {a.source!r} not declared")
-        if a.target not in name_set:
-            diags.append(f"association target {a.target!r} not declared")
         if a.max_card != UNBOUNDED and a.min_card > a.max_card:
             diags.append(f"{a.source}->{a.target}: min cardinality exceeds max")
         src_def = rm.definition(a.source)
@@ -487,16 +438,9 @@ def validate_model(
     state_names = [s.name for s in bm.states]
     if len(set(state_names)) != len(state_names):
         diags.append("duplicate state names")
-    if bm.initial and bm.initial not in state_names:
-        diags.append(f"initial state {bm.initial!r} not declared")
     transition_ids = [t.id for t in bm.transitions]
     if len(set(transition_ids)) != len(transition_ids):
         diags.append("duplicate transition ids")
-    for t in bm.transitions:
-        if t.http_method not in SIDE_EFFECT_METHODS:
-            diags.append(
-                f"transition {t.id}: trigger {t.http_method} is not a side-effect method"
-            )
 
     # expression paths must resolve against the model or a reserved namespace
     def check_expr(owner: str, e: Optional[E.Expression]) -> None:
@@ -540,6 +484,15 @@ def validate_model(
         for r in rules:
             if r.uri_template not in templates:
                 diags.append(f"rule {r.id}: uri {r.uri_template!r} not in the route table")
+
+    # a rule is merged only into the contract of a transition's trigger
+    triggers = {(t.http_method, t.uri_template) for t in bm.transitions}
+    for r in rules:
+        if (r.http_method, r.uri_template) not in triggers:
+            diags.append(
+                f"rule {r.id}: no transition on {r.http_method} {r.uri_template}, "
+                "so the rule is never checked"
+            )
 
     return diags
 

@@ -38,6 +38,18 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "collection must have no attributes" in out
 
+    def test_rule_no_transition_triggers_is_nonzero(self, tmp_path, capsys, fixture_document):
+        model = tmp_path / "reads.model"
+        model.write_bytes(
+            fixture_document
+            + b"rule admin_reads on GET /v3/users/{user_id}: always user.role='admin'\n"
+        )
+        assert main(["validate", str(model)]) == EXIT_DOMAIN_ERROR
+        assert capsys.readouterr().out == (
+            "rule admin_reads: no transition on GET /v3/users/{user_id}, "
+            "so the rule is never checked\n"
+        )
+
 
 class TestContracts:
     def test_output_matches_library_rendering(self, capsys, fixture_document):
