@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import mock_keystone
 from .contracts import derive_contracts, render_contracts
 from .gateway import GatewayConfig, build_gateway, make_server
 from .model import ModelError, load_model, validate_model
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
-EXIT_USAGE = 2
 
 
 def _load(path: str):
@@ -53,18 +53,20 @@ def cmd_contracts(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def run_config(args: argparse.Namespace) -> GatewayConfig:
+    """`run`'s settings; one that no flag or variable gave keeps the field's default.
+    Timeouts are read here, not by argparse: an unreadable variable is exit 1."""
+    given = {f.name: getattr(args, f.name) for f in fields(GatewayConfig)
+             if getattr(args, f.name) is not None}
+    for name in ("probe_timeout_ms", "upstream_timeout_ms"):
+        if name in given:
+            given[name] = int(given[name])
+    return GatewayConfig(**given)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        cfg = GatewayConfig(
-            listen_address=args.listen,
-            upstream_base_url=args.upstream,
-            model_path=args.model,
-            log_path=args.log,
-            paper_status=args.paper_status,
-            audit_get=args.audit_get,
-            expires_reading=args.expires_reading,
-        )
-        gateway = build_gateway(cfg)
+        gateway = build_gateway(run_config(args))
     except (OSError, ValueError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
@@ -82,8 +84,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_mock(args: argparse.Namespace) -> int:
-    # imported here, so that `contractgate run` loads no http.server
-    from . import mock_server
+    # imported here, so that `contractgate run` loads none of the mock
+    from . import mock_keystone, mock_server
 
     try:
         faults = mock_keystone.FaultProfile.from_names(args.fault or [])
@@ -107,12 +109,34 @@ def cmd_mock(args: argparse.Namespace) -> int:
             int(port or 0),
             seed=seed,
             faults=faults,
-            ttl_seconds=args.ttl,
+            ttl_seconds=mock_keystone.DEFAULT_TTL_SECONDS if args.ttl is None else args.ttl,
             clock=clock,
         )
     except KeyboardInterrupt:
         pass
     return EXIT_OK
+
+
+def _fault_name(name: str) -> str:
+    from .mock_keystone import FaultProfile  # here, so that `run` loads none of the mock
+    try:
+        FaultProfile.from_names([name])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
+def _add_setting(parser, flag: str, field: str, help: str = "", **kwargs) -> None:
+    """A `run` flag for GatewayConfig's ``field``, defaulting to the CONTRACTGATE_*
+    variable named after it; a required flag is required only while that is unset."""
+    variable = "CONTRACTGATE_" + flag[2:].upper().replace("-", "_")
+    default = os.environ.get(variable)
+    if default is not None and kwargs.get("action") == "store_true":
+        default = default.lower() in ("1", "true", "yes", "on")
+    if kwargs.get("required"):
+        kwargs["required"] = default is None
+    parser.add_argument(flag, dest=field, default=default,
+                        help=f"{help} [env: {variable}]".lstrip(), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,24 +155,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_contracts)
 
     p = sub.add_parser("run", help="run the gateway")
-    p.add_argument("--listen", default="127.0.0.1:8080")
-    p.add_argument("--upstream", required=True, help="upstream base URL")
-    p.add_argument("--model", required=True)
-    p.add_argument("--log", default=None, help="violation log path (JSONL)")
-    p.add_argument("--paper-status", action="store_true",
-                   help="report every violation as 404")
-    p.add_argument("--audit-get", action="store_true",
-                   help="audit state invariants on GET requests")
-    p.add_argument("--expires-reading", choices=["paper", "corrected"],
-                   default="corrected")
+    _add_setting(p, "--listen", "listen_address", "HOST:PORT to listen on")
+    _add_setting(p, "--upstream", "upstream_base_url", "upstream base URL", required=True)
+    _add_setting(p, "--model", "model_path", "path to the model document", required=True)
+    _add_setting(p, "--log", "log_path", "violation log path (JSONL)")
+    _add_setting(p, "--probe-timeout-ms", "probe_timeout_ms", "one probe's time limit")
+    _add_setting(p, "--upstream-timeout-ms", "upstream_timeout_ms", "one request's deadline")
+    _add_setting(p, "--paper-status", "paper_status", "report every violation as 404",
+                 action="store_true")
+    _add_setting(p, "--audit-get", "audit_get", "audit state invariants on GET requests",
+                 action="store_true")
+    _add_setting(p, "--expires-reading", "expires_reading", choices=["paper", "corrected"])
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("mock", help="run the mock identity upstream")
     p.add_argument("--listen", default="127.0.0.1:5001")
     p.add_argument("--seed", default=None, help="seed fixture (JSON)")
-    p.add_argument("--fault", action="append", default=[],
-                   choices=list(mock_keystone.FAULT_NAMES))
-    p.add_argument("--ttl", type=int, default=mock_keystone.DEFAULT_TTL_SECONDS)
+    p.add_argument("--fault", action="append", default=[], type=_fault_name,
+                   help="inject a named fault (repeatable)")
+    p.add_argument("--ttl", type=int, default=None, help="token lifetime in seconds")
     p.add_argument("--clock", default=None, help="fixed ISO time for determinism")
     p.set_defaults(func=cmd_mock)
 

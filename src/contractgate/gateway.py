@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import socketserver
 import threading
 from collections import deque
@@ -39,13 +38,13 @@ from .monitor import Monitor, RequestContext, ViolationRecord
 
 log = logging.getLogger(__name__)
 
-ENV_PREFIX = "CONTRACTGATE_"
 CLIENT_TIMEOUT_S = 60.0  # a client connection idle or stalled this long is closed
 FLUSH_INTERVAL_S = 0.05  # the violation-log writer wakes this often
 
 
 @dataclass
 class GatewayConfig:
+    """One gateway's settings as passed; only the CLI reads CONTRACTGATE_* variables."""
     listen_address: str = "127.0.0.1:8080"
     upstream_base_url: str = ""
     model_path: str = ""
@@ -57,35 +56,10 @@ class GatewayConfig:
     expires_reading: str = "corrected"  # or "paper"
 
     def __post_init__(self):
-        self.apply_env_overrides()
         if self.probe_timeout_ms <= 0 or self.upstream_timeout_ms <= 0:
             raise ValueError("timeouts must be positive")
         if self.expires_reading not in ("paper", "corrected"):
             raise ValueError("expires_reading must be 'paper' or 'corrected'")
-
-    def apply_env_overrides(self) -> None:
-        mapping = {
-            "LISTEN": "listen_address",
-            "UPSTREAM": "upstream_base_url",
-            "MODEL": "model_path",
-            "LOG": "log_path",
-            "PROBE_TIMEOUT_MS": "probe_timeout_ms",
-            "UPSTREAM_TIMEOUT_MS": "upstream_timeout_ms",
-            "PAPER_STATUS": "paper_status",
-            "AUDIT_GET": "audit_get",
-            "EXPIRES_READING": "expires_reading",
-        }
-        for suffix, attr in mapping.items():
-            raw = os.environ.get(ENV_PREFIX + suffix)
-            if raw is None:
-                continue
-            current = getattr(self, attr)
-            if isinstance(current, bool):
-                setattr(self, attr, raw.lower() in ("1", "true", "yes", "on"))
-            elif isinstance(current, int):
-                setattr(self, attr, int(raw))
-            else:
-                setattr(self, attr, raw)
 
 
 def flip_clock_comparisons(e: E.Expression) -> E.Expression:

@@ -215,6 +215,15 @@ _MALFORMED = {
 }
 
 
+def _cardinality(bound: str, lineno: int) -> int:
+    # "*" or digits; over 18 significant digits is refused here, not by int() past 4300
+    if bound == "*":
+        return UNBOUNDED
+    if len(bound.lstrip("0")) > 18:
+        raise ModelError("assoc cardinality has more than 18 digits", lineno)
+    return int(bound)
+
+
 def load_model(
     document: bytes | str,
 ) -> tuple[ResourceModel, BehavioralModel, list[SecurityRule]]:
@@ -273,8 +282,8 @@ def load_model(
                     source=m["source"],
                     target=m["target"],
                     role_name=m["role"],
-                    min_card=int(m["min"]) if m["min"] else 0,
-                    max_card=UNBOUNDED if m["max"] in (None, "*") else int(m["max"]),
+                    min_card=_cardinality(m["min"] or "0", lineno),
+                    max_card=_cardinality(m["max"] or "*", lineno),
                 )
             )
         elif keyword == "state":
@@ -504,7 +513,6 @@ def validate_model(
 def derive_routes(
     rm: ResourceModel,
     bm: Optional[BehavioralModel] = None,
-    diagnostics: Optional[list[str]] = None,
 ) -> RouteTable:
     """Derive URI templates from association role names, walking out from the
     root.  Member resources of a collection append ``{<name>_id}`` when they
@@ -521,7 +529,7 @@ def derive_routes(
             if a.source != node:
                 continue
             target_def = rm.definition(a.target)
-            if target_def is None:
+            if target_def is None or a.target in templates:
                 continue
             base = templates[node].rstrip("/")
             if node_def is not None and node_def.is_collection:
@@ -532,12 +540,6 @@ def derive_routes(
                     template = base or "/"
             else:
                 template = f"{base}/{a.role_name}"
-            if a.target in templates:
-                if diagnostics is not None:
-                    diagnostics.append(
-                        f"{a.target}: ambiguous route (keeping {templates[a.target]!r})"
-                    )
-                continue
             templates[a.target] = template
             order.append(a.target)
             frontier.append(a.target)

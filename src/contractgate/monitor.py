@@ -230,23 +230,21 @@ def json_to_value(node: object, attr_type: Optional[str] = None) -> E.Value:
 
 
 class Resolver:
-    """Maps paths to values for one request phase.  A resource attribute is
-    read from one source: the request payload or the validated-token
-    representation for a ``bind`` hint, the upstream response for the
-    addressed resource in the post phase, and otherwise a GET probe of the
-    addressed resource's canonical URI or of another resource's fixed route.
-    Probes are cached per URI for the phase."""
+    """Maps paths to values for one request phase, the post phase being the
+    one with an upstream reply.  A resource attribute is read from one source:
+    the request payload or the validated-token representation for a ``bind``
+    hint, the reply for the addressed resource in the post phase, and
+    otherwise a GET probe of the addressed resource's canonical URI or of
+    another resource's fixed route.  Probes are cached per URI for the phase."""
 
     def __init__(
         self,
         monitor: "Monitor",
         ctx: RequestContext,
-        phase: str,
-        upstream_response: Optional[UpstreamResponse],
+        upstream_response: Optional[UpstreamResponse] = None,
     ):
         self.monitor = monitor
         self.ctx = ctx
-        self.phase = phase
         self.upstream_response = upstream_response
         self.probe_ms = 0.0
         self._probes: dict[str, Optional[UpstreamResponse]] = {}
@@ -278,7 +276,7 @@ class Resolver:
 
     def _resolve_self(self, path: E.Path) -> E.Value:
         if path.segments == ("processing",):
-            if self.phase == "post":
+            if self.upstream_response is not None:  # post phase
                 return E.boolean(False)
             return E.boolean(self.monitor.variables.processing(self.resource))
         return E.ABSENT
@@ -313,7 +311,7 @@ class Resolver:
             and definition.name.lower() == self.route_entry.definition.lower()
         ):
             resp = self.upstream_response
-            if self.phase == "post" and resp is not None and attr_name is not None:
+            if resp is not None and attr_name is not None:
                 subject = (field_values(resp.headers, "X-Subject-Token") or [""])[0]
                 if definition.name.lower() == "token" and attr_name == "token" and subject:
                     return E.text(subject)
@@ -417,7 +415,7 @@ class Monitor:
     def resolve_pre_env(
         self, ctx: RequestContext, contract: Contract
     ) -> tuple[E.Environment, Snapshot]:
-        resolver = Resolver(self, ctx, "pre", None)
+        resolver = Resolver(self, ctx)
         env = E.Environment(resolver, now=ctx.arrival_time)
         bindings = {p: env.lookup(p) for p in contract.snapshot_paths}
         return env, Snapshot(bindings=bindings, captured_at=ctx.arrival_time)
@@ -429,7 +427,7 @@ class Monitor:
         upstream_response: UpstreamResponse,
         snapshot: Snapshot,
     ) -> E.Environment:
-        resolver = Resolver(self, ctx, "post", upstream_response)
+        resolver = Resolver(self, ctx, upstream_response)
         return E.Environment(resolver, now=ctx.arrival_time, snapshot=snapshot.bindings)
 
     # -- checks
@@ -550,7 +548,7 @@ class Monitor:
     def _audit(self, ctx: RequestContext) -> Optional[ViolationRecord]:
         """Optional mode: on GET, check that at least one state invariant
         currently holds; a service in no modeled state is reported."""
-        resolver = Resolver(self, ctx, "pre", None)
+        resolver = Resolver(self, ctx)
         env = E.Environment(resolver, now=ctx.arrival_time)
         results = [
             (name, E.evaluate(inv, env)) for name, inv in self.state_invariants

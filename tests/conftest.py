@@ -60,8 +60,8 @@ GOLDEN = {
 
 @pytest.fixture(autouse=True)
 def _no_gateway_environment(monkeypatch):
-    """GatewayConfig applies CONTRACTGATE_* variables over the values a test
-    passes in; clear them so the caller's shell cannot change a test."""
+    """The `run` parser reads CONTRACTGATE_* variables as its flags'
+    defaults; clear them so the caller's shell cannot change a test."""
     for name in list(os.environ):
         if name.startswith("CONTRACTGATE_"):
             monkeypatch.delenv(name)

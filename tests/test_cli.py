@@ -19,9 +19,14 @@ class TestValidate:
 
     def test_syntax_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.model"
-        # the second has a character that is a digit to str.isdigit, not to int
-        for state in ("a.x ==", "R.a = \u00b2"):
-            bad.write_text(f"resource Root\n  attr x: string\nstate A: {state}\n")
+        for line in (
+            "state A: a.x ==",
+            # a character that is a digit to str.isdigit, not to int
+            "state A: R.a = \u00b2",
+            # more digits than int() reads
+            "assoc Root -> Root as r 1" + "0" * 5000 + "..*",
+        ):
+            bad.write_text(f"resource Root\n  attr x: string\n{line}\n")
             assert main(["validate", str(bad)]) == EXIT_DOMAIN_ERROR
             err = capsys.readouterr().err
             assert "line 3" in err
@@ -101,6 +106,35 @@ class TestRun:
         ])
         assert code == EXIT_DOMAIN_ERROR
         assert "error:" in capsys.readouterr().err
+
+    def test_settings_from_the_environment_alone(self, monkeypatch, capsys):
+        monkeypatch.setenv("CONTRACTGATE_UPSTREAM", "http://127.0.0.1:1")
+        monkeypatch.setenv("CONTRACTGATE_MODEL", "/no/env.model")
+        assert main(["run"]) == EXIT_DOMAIN_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "/no/env.model" in err
+
+    def test_flag_beats_its_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("CONTRACTGATE_UPSTREAM", "http://127.0.0.1:1")
+        monkeypatch.setenv("CONTRACTGATE_MODEL", "/no/env.model")
+        assert main(["run", "--model", "/no/flag.model"]) == EXIT_DOMAIN_ERROR
+        err = capsys.readouterr().err
+        assert "/no/flag.model" in err
+        assert "/no/env.model" not in err
+
+    @pytest.mark.parametrize("variable,value", [
+        ("CONTRACTGATE_PROBE_TIMEOUT_MS", "soon"),
+        ("CONTRACTGATE_UPSTREAM_TIMEOUT_MS", "0"),
+        ("CONTRACTGATE_EXPIRES_READING", "sideways"),
+    ])
+    def test_unreadable_variable_is_domain_error(self, monkeypatch, capsys, variable, value):
+        monkeypatch.setenv(variable, value)
+        code = main(["run", "--upstream", "http://127.0.0.1:1", "--model", "/no/such.model"])
+        assert code == EXIT_DOMAIN_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "/no/such.model" not in err  # refused before the model is read
 
     def test_bad_clock_for_mock_is_domain_error(self, capsys):
         assert main(["mock", "--clock", "yesterdayish"]) == EXIT_DOMAIN_ERROR

@@ -17,6 +17,7 @@ import pytest
 
 from contractgate import expr as E
 from contractgate import gateway
+from contractgate.cli import build_parser, run_config
 from contractgate.gateway import (
     GatewayConfig,
     ViolationLog,
@@ -48,13 +49,23 @@ class TestConfig:
             GatewayConfig(expires_reading="sideways")
 
     def test_environment_overrides(self, monkeypatch):
+        """With no flag given, the CONTRACTGATE_* variable named after it sets
+        the setting; the parser is what reads them."""
         monkeypatch.setenv("CONTRACTGATE_PROBE_TIMEOUT_MS", "123")
         monkeypatch.setenv("CONTRACTGATE_PAPER_STATUS", "true")
         monkeypatch.setenv("CONTRACTGATE_UPSTREAM", "http://example:9999")
-        cfg = GatewayConfig()
-        assert cfg.probe_timeout_ms == 123
-        assert cfg.paper_status is True
-        assert cfg.upstream_base_url == "http://example:9999"
+        cfg = run_config(build_parser().parse_args(["run", "--model", "m.model"]))
+        assert cfg == GatewayConfig(
+            upstream_base_url="http://example:9999", model_path="m.model",
+            probe_timeout_ms=123, paper_status=True,
+        )
+
+    def test_keeps_its_arguments_over_the_environment(self, monkeypatch):
+        monkeypatch.setenv("CONTRACTGATE_UPSTREAM", "http://10.9.9.9:1")
+        monkeypatch.setenv("CONTRACTGATE_PROBE_TIMEOUT_MS", "123")
+        cfg = GatewayConfig(upstream_base_url="http://127.0.0.1:5001")
+        assert cfg.upstream_base_url == "http://127.0.0.1:5001"
+        assert cfg.probe_timeout_ms == 2000
 
     def test_invalid_model_path_raises(self):
         with pytest.raises(OSError):
@@ -120,6 +131,8 @@ class TestFootprint:
         "email.utils",
         "_hashlib",
         "contractgate.mock_server",
+        "contractgate.mock_keystone",
+        "random",
         "importlib.resources",
         "tempfile",
         "shutil",

@@ -467,7 +467,7 @@ class TestUpstreamFraming:
         upstream = raw_upstream(lambda method, target: reply)
         monitor = raw_gateway(upstream.url, probe_timeout_ms=2000).monitor
         ctx = RequestContext.build("DELETE", "/v3/users/u-alice", {"X-Auth-Token": "t"}, b"")
-        resolver = Resolver(monitor, ctx, "pre", None)
+        resolver = Resolver(monitor, ctx)
         assert resolver(E.parse_expression("user.id").path) is E.INVALID
         assert upstream.requests[0] == ("GET", "/v3/users/u-alice")
 
@@ -559,7 +559,7 @@ class TestResolverNamespaces:
     def test_request_header_path(self, raw_gateway):
         monitor = raw_gateway("http://127.0.0.1:9").monitor
         ctx = RequestContext.build("GET", "/v3/users", {"X-Auth-Token": "t-1"}, b"")
-        resolver = Resolver(monitor, ctx, "pre", None)
+        resolver = Resolver(monitor, ctx)
         assert resolver(E.parse_expression("request.headers.x.auth.token").path) == E.text("t-1")
         assert resolver(E.parse_expression("request.headers.x.missing").path) is E.ABSENT
 
@@ -567,8 +567,8 @@ class TestResolverNamespaces:
         monitor = raw_gateway("http://127.0.0.1:9").monitor
         ctx = RequestContext.build("POST", "/v3/auth/tokens", {}, b"{}")
         reply = UpstreamResponse(201, [], b'{"token": {"user": "alice", "n": 2}}')
-        post = Resolver(monitor, ctx, "post", reply)
-        pre = Resolver(monitor, ctx, "pre", None)
+        post = Resolver(monitor, ctx, reply)
+        pre = Resolver(monitor, ctx)
         for text, value in [
             ("response.status", E.integer(201)),
             ("response.user", E.text("alice")),
