@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -56,8 +55,8 @@ def cmd_contracts(args: argparse.Namespace) -> int:
 def run_config(args: argparse.Namespace) -> GatewayConfig:
     """`run`'s settings; one that no flag or variable gave keeps the field's default.
     Timeouts are read here, not by argparse: an unreadable variable is exit 1."""
-    given = {f.name: getattr(args, f.name) for f in fields(GatewayConfig)
-             if getattr(args, f.name) is not None}
+    given = {field: getattr(args, field) for _, field, _, _ in _RUN_SETTINGS
+             if getattr(args, field) is not None}
     for name in ("probe_timeout_ms", "upstream_timeout_ms"):
         if name in given:
             given[name] = int(given[name])
@@ -65,12 +64,16 @@ def run_config(args: argparse.Namespace) -> GatewayConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    gateway = None
     try:
         gateway = build_gateway(run_config(args))
+        server = make_server(gateway)
     except (OSError, ValueError, ModelError) as exc:
+        if gateway is not None:  # built, but it cannot listen there
+            gateway.monitor.upstream.close()
+            gateway.violation_log.close()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
-    server = make_server(gateway)
     print(f"gateway listening on {server.server_address[0]}:{server.server_address[1]}")
     try:
         server.serve_forever()
@@ -126,6 +129,22 @@ def _fault_name(name: str) -> str:
     return name
 
 
+# `run`'s settings: flag, GatewayConfig field, help and further argparse options
+_RUN_SETTINGS = (
+    ("--listen", "listen_address", "HOST:PORT to listen on", {}),
+    ("--upstream", "upstream_base_url", "upstream base URL", {"required": True}),
+    ("--model", "model_path", "path to the model document", {"required": True}),
+    ("--log", "log_path", "violation log path (JSONL)", {}),
+    ("--probe-timeout-ms", "probe_timeout_ms", "one probe's time limit", {}),
+    ("--upstream-timeout-ms", "upstream_timeout_ms", "one request's deadline", {}),
+    ("--paper-status", "paper_status", "report every violation as 404",
+     {"action": "store_true"}),
+    ("--audit-get", "audit_get", "audit state invariants on GET requests",
+     {"action": "store_true"}),
+    ("--expires-reading", "expires_reading", "", {"choices": ["paper", "corrected"]}),
+)
+
+
 def _add_setting(parser, flag: str, field: str, help: str = "", **kwargs) -> None:
     """A `run` flag for GatewayConfig's ``field``, defaulting to the CONTRACTGATE_*
     variable named after it; a required flag is required only while that is unset."""
@@ -155,17 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_contracts)
 
     p = sub.add_parser("run", help="run the gateway")
-    _add_setting(p, "--listen", "listen_address", "HOST:PORT to listen on")
-    _add_setting(p, "--upstream", "upstream_base_url", "upstream base URL", required=True)
-    _add_setting(p, "--model", "model_path", "path to the model document", required=True)
-    _add_setting(p, "--log", "log_path", "violation log path (JSONL)")
-    _add_setting(p, "--probe-timeout-ms", "probe_timeout_ms", "one probe's time limit")
-    _add_setting(p, "--upstream-timeout-ms", "upstream_timeout_ms", "one request's deadline")
-    _add_setting(p, "--paper-status", "paper_status", "report every violation as 404",
-                 action="store_true")
-    _add_setting(p, "--audit-get", "audit_get", "audit state invariants on GET requests",
-                 action="store_true")
-    _add_setting(p, "--expires-reading", "expires_reading", choices=["paper", "corrected"])
+    for flag, field, help, kwargs in _RUN_SETTINGS:
+        _add_setting(p, flag, field, help, **kwargs)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("mock", help="run the mock identity upstream")

@@ -14,9 +14,7 @@ unconditional rules are conjoined to both sides (the double check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import expr as E
 from .model import BehavioralModel, SecurityRule, Transition
@@ -26,8 +24,7 @@ class UnmodeledMethodError(LookupError):
     """No transition is triggered by the requested (method, uri) pair."""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A top-level conjunct lowered for diagnosis.  A postcondition
     implication also keeps its antecedent and its consequent's conjuncts."""
 
@@ -49,34 +46,28 @@ def _lower(e: E.Expression, split_implications: bool) -> tuple[Check, ...]:
 _SNAPSHOT_NAMESPACES = (E.Namespace.RESOURCE, E.Namespace.REQUEST, E.Namespace.SELF)
 
 
-@dataclass(frozen=True)
 class Contract:
     """A method's contract.  What follows from ``pre`` and ``post`` alone is
-    computed once per contract, on first use."""
+    computed once, when the contract is built: the paths to capture before
+    execution, in text order, and each side lowered for diagnosis."""
 
-    method: str
-    uri_template: str
-    pre: E.Expression
-    post: E.Expression
+    __slots__ = ("method", "uri_template", "pre", "post",
+                 "snapshot_paths", "pre_checks", "post_checks")
+
+    def __init__(self, method: str, uri_template: str, pre: E.Expression, post: E.Expression):
+        self.method = method
+        self.uri_template = uri_template
+        self.pre = pre
+        self.post = post
+        paths = E.free_paths(pre) | E.antecedent_paths(post)
+        kept = [p for p in paths if p.namespace in _SNAPSHOT_NAMESPACES]
+        self.snapshot_paths = tuple(sorted(kept, key=str))
+        self.pre_checks = _lower(pre, split_implications=False)
+        self.post_checks = _lower(post, split_implications=True)
 
     @property
     def id(self) -> str:
         return f"{self.method} {self.uri_template}"
-
-    @cached_property
-    def snapshot_paths(self) -> tuple[E.Path, ...]:
-        """The paths to capture before execution, in text order."""
-        paths = E.free_paths(self.pre) | E.antecedent_paths(self.post)
-        kept = [p for p in paths if p.namespace in _SNAPSHOT_NAMESPACES]
-        return tuple(sorted(kept, key=str))
-
-    @cached_property
-    def pre_checks(self) -> tuple[Check, ...]:
-        return _lower(self.pre, split_implications=False)
-
-    @cached_property
-    def post_checks(self) -> tuple[Check, ...]:
-        return _lower(self.post, split_implications=True)
 
 
 def _actor_predicate(role: str) -> E.Expression:

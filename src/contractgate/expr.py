@@ -14,9 +14,8 @@ import enum
 import functools
 import operator
 import re
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +29,7 @@ class Namespace(enum.Enum):
     SELF = "self"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A dotted reference such as ``token.expires_at`` or ``request.scope``.
 
     Resource-definition heads are case-insensitive in the surface syntax and
@@ -73,8 +71,7 @@ class Kind(enum.Enum):
     DOCUMENT = "document"
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     kind: Kind
     data: object = None
 
@@ -178,62 +175,81 @@ def from_bool(b: bool) -> TriBool:
 
 
 class Expression:
+    """An AST node.  Each node type lists its fields in ``__slots__``, and
+    from them this class gives every node its positional constructor,
+    immutability, equality (with a node of the same type and equal fields),
+    hash and ``Name(field=...)`` repr."""
+
     __slots__ = ()
 
+    def __init__(self, *values: object):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}"
+            )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
-@dataclass(frozen=True)
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class And(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Not(Expression):
-    operand: Expression
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class Implies(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Compare(Expression):
-    op: str  # one of = <> < <= > >=
-    left: Expression
-    right: Expression
+    __slots__ = ("op", "left", "right")  # op: one of = <> < <= > >=
 
 
-@dataclass(frozen=True)
 class SizeOf(Expression):
-    path: Path
+    __slots__ = ("path",)
 
 
-@dataclass(frozen=True)
 class IsInvalid(Expression):
-    path: Path
+    __slots__ = ("path",)
 
 
-@dataclass(frozen=True)
 class PathRef(Expression):
-    path: Path
+    __slots__ = ("path",)
 
 
-@dataclass(frozen=True)
 class Literal(Expression):
-    value: object  # bool, int or str
+    __slots__ = ("value",)  # bool, int or str
 
 
-@dataclass(frozen=True)
 class ClockTime(Expression):
-    pass
+    __slots__ = ()
 
 
 CLOCK_TIME = ClockTime()

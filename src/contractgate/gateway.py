@@ -8,7 +8,6 @@ import logging
 import socketserver
 import threading
 from collections import deque
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -42,24 +41,43 @@ CLIENT_TIMEOUT_S = 60.0  # a client connection idle or stalled this long is clos
 FLUSH_INTERVAL_S = 0.05  # the violation-log writer wakes this often
 
 
-@dataclass
 class GatewayConfig:
     """One gateway's settings as passed; only the CLI reads CONTRACTGATE_* variables."""
-    listen_address: str = "127.0.0.1:8080"
-    upstream_base_url: str = ""
-    model_path: str = ""
-    log_path: Optional[str] = None
-    probe_timeout_ms: int = 2000
-    upstream_timeout_ms: int = 10000
-    paper_status: bool = False
-    audit_get: bool = False
-    expires_reading: str = "corrected"  # or "paper"
 
-    def __post_init__(self):
-        if self.probe_timeout_ms <= 0 or self.upstream_timeout_ms <= 0:
+    __slots__ = ("listen_address", "upstream_base_url", "model_path", "log_path",
+                 "probe_timeout_ms", "upstream_timeout_ms", "paper_status", "audit_get",
+                 "expires_reading")
+
+    def __init__(
+        self,
+        listen_address: str = "127.0.0.1:8080",
+        upstream_base_url: str = "",
+        model_path: str = "",
+        log_path: Optional[str] = None,
+        probe_timeout_ms: int = 2000,
+        upstream_timeout_ms: int = 10000,
+        paper_status: bool = False,
+        audit_get: bool = False,
+        expires_reading: str = "corrected",  # or "paper"
+    ):
+        if probe_timeout_ms <= 0 or upstream_timeout_ms <= 0:
             raise ValueError("timeouts must be positive")
-        if self.expires_reading not in ("paper", "corrected"):
+        if expires_reading not in ("paper", "corrected"):
             raise ValueError("expires_reading must be 'paper' or 'corrected'")
+        self.listen_address = listen_address
+        self.upstream_base_url = upstream_base_url
+        self.model_path = model_path
+        self.log_path = log_path
+        self.probe_timeout_ms = probe_timeout_ms
+        self.upstream_timeout_ms = upstream_timeout_ms
+        self.paper_status = paper_status
+        self.audit_get = audit_get
+        self.expires_reading = expires_reading
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GatewayConfig:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def flip_clock_comparisons(e: E.Expression) -> E.Expression:
@@ -154,14 +172,25 @@ class ViolationLog:
         self._thread.join(timeout=5.0)
 
 
-@dataclass
 class Gateway:
-    config: GatewayConfig
-    monitor: Monitor
-    contracts_text: str
-    model_checksum: str
-    violation_log: ViolationLog
-    server: Optional[socketserver.ThreadingTCPServer] = None
+    __slots__ = ("config", "monitor", "contracts_text", "model_checksum", "violation_log",
+                 "server")
+
+    def __init__(
+        self,
+        config: GatewayConfig,
+        monitor: Monitor,
+        contracts_text: str,
+        model_checksum: str,
+        violation_log: ViolationLog,
+        server: Optional[socketserver.ThreadingTCPServer] = None,
+    ):
+        self.config = config
+        self.monitor = monitor
+        self.contracts_text = contracts_text
+        self.model_checksum = model_checksum
+        self.violation_log = violation_log
+        self.server = server
 
     @property
     def port(self) -> int:
@@ -179,12 +208,10 @@ def build_gateway(cfg: GatewayConfig) -> Gateway:
 
     if cfg.expires_reading == "paper":
         flip = flip_clock_comparisons
-        bm = replace(
-            bm,
-            states=tuple(replace(s, invariant=flip(s.invariant)) for s in bm.states),
+        bm = bm._replace(
+            states=tuple(s._replace(invariant=flip(s.invariant)) for s in bm.states),
             transitions=tuple(
-                replace(
-                    t,
+                t._replace(
                     guard=flip(t.guard) if t.guard else None,
                     effect=flip(t.effect) if t.effect else None,
                 )

@@ -11,7 +11,6 @@ import select
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
 from http import HTTPStatus
 from typing import Optional
 from urllib.parse import urlsplit
@@ -318,12 +317,14 @@ def parse_json(raw: bytes) -> object:
         return None
 
 
-@dataclass
 class UpstreamResponse:
-    status: int
-    headers: list[tuple[str, str]]
-    body: bytes
-    _doc: object = field(default=_UNSET, init=False, repr=False, compare=False)
+    __slots__ = ("status", "headers", "body", "_doc")
+
+    def __init__(self, status: int, headers: list[tuple[str, str]], body: bytes):
+        self.status = status
+        self.headers = headers
+        self.body = body
+        self._doc = _UNSET
 
     def json(self) -> Optional[object]:
         """The body parsed as JSON, or None when it is empty, not JSON or

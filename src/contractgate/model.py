@@ -11,9 +11,7 @@ declared resource is the model root; the first declared state is initial.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import expr as E
 
@@ -36,14 +34,12 @@ class ModelError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(NamedTuple):
     name: str
     type: str
 
 
-@dataclass(frozen=True)
-class ResourceDefinition:
+class ResourceDefinition(NamedTuple):
     name: str
     kind: str  # "normal" | "collection"
     attributes: tuple[Attribute, ...] = ()
@@ -60,8 +56,7 @@ class ResourceDefinition:
         return None
 
 
-@dataclass(frozen=True)
-class Association:
+class Association(NamedTuple):
     source: str
     target: str
     role_name: str
@@ -69,8 +64,7 @@ class Association:
     max_card: int = UNBOUNDED  # UNBOUNDED means *
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """Resolution hint: a resource attribute path supplied by the request
     payload or by the validated-token representation instead of a probe."""
 
@@ -79,8 +73,7 @@ class Binding:
     json_path: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ResourceModel:
+class ResourceModel(NamedTuple):
     definitions: tuple[ResourceDefinition, ...]
     associations: tuple[Association, ...]
     root: str
@@ -94,14 +87,12 @@ class ResourceModel:
         return None
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     name: str
     invariant: E.Expression
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     id: str
     source: str
     target: str
@@ -112,8 +103,7 @@ class Transition:
     actor_role: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class BehavioralModel:
+class BehavioralModel(NamedTuple):
     states: tuple[State, ...]
     transitions: tuple[Transition, ...]
     initial: str
@@ -125,8 +115,7 @@ class BehavioralModel:
         return None
 
 
-@dataclass(frozen=True)
-class SecurityRule:
+class SecurityRule(NamedTuple):
     id: str
     http_method: str
     uri_template: str
@@ -136,20 +125,14 @@ class SecurityRule:
     rule_expr: Optional[E.Expression] = None
 
 
-@dataclass(frozen=True)
-class RouteEntry:
+class RouteEntry(NamedTuple):
     uri_template: str
     definition: str
     allowed_methods: frozenset[str]
-
-    @cached_property
-    def segments(self) -> tuple[str, ...]:
-        """The template's non-empty segments, split once."""
-        return tuple(s for s in self.uri_template.split("/") if s)
+    segments: tuple[str, ...]  # the template's non-empty segments, split once
 
 
-@dataclass(frozen=True)
-class RouteTable:
+class RouteTable(NamedTuple):
     entries: tuple[RouteEntry, ...]
 
     def match(self, path: str) -> Optional[tuple[RouteEntry, dict[str, str]]]:
@@ -271,8 +254,7 @@ def load_model(
                 )
             block = definitions[-1]
             named_id = m["name"] == "id" and block.id_attribute is None
-            definitions[-1] = replace(
-                block,
+            definitions[-1] = block._replace(
                 attributes=block.attributes + (Attribute(m["name"], m["type"]),),
                 id_attribute=m["name"] if m["marked"] or named_id else block.id_attribute,
             )
@@ -564,7 +546,8 @@ def derive_routes(
     entries = []
     for template, name in by_template.items():
         methods = {"GET"} | method_map.get(template, set())
-        entries.append(RouteEntry(template, name, frozenset(methods)))
+        segments = tuple(filter(None, template.split("/")))
+        entries.append(RouteEntry(template, name, frozenset(methods), segments))
     # longest templates first so concrete segments win over parameters
     entries.sort(key=lambda entry: (-entry.uri_template.count("/"), entry.uri_template))
     return RouteTable(tuple(entries))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -30,21 +29,29 @@ Failed = list[tuple[str, E.TriBool]]  # failing conjuncts' texts and values, in 
 # Request context and verdicts
 
 
-@dataclass
 class RequestContext:
-    method: str
-    uri: str
-    headers: dict[str, str] = field(default_factory=dict)  # lowercase names
-    body: object = None  # parsed request document; None when unparseable
-    arrival_time: datetime = field(
-        default_factory=lambda: datetime.now(timezone.utc)
-    )
-    # time.monotonic() by which every upstream call for the request must
-    # end; set by Monitor.handle, None outside it
-    deadline: Optional[float] = None
-    # the route ``uri`` matches, as (entry, canonical URI) or None; set once
-    # by Monitor.route
-    route: object = field(default=_UNSET, repr=False, compare=False)
+    __slots__ = ("method", "uri", "headers", "body", "arrival_time", "deadline", "route")
+
+    def __init__(
+        self,
+        method: str,
+        uri: str,
+        headers: Optional[dict[str, str]] = None,
+        body: object = None,
+        arrival_time: Optional[datetime] = None,
+        deadline: Optional[float] = None,
+    ):
+        self.method = method
+        self.uri = uri
+        self.headers = {} if headers is None else headers  # lowercase names
+        self.body = body  # parsed request document; None when unparseable
+        self.arrival_time = arrival_time or datetime.now(timezone.utc)
+        # time.monotonic() by which every upstream call for the request must
+        # end; set by Monitor.handle, None outside it
+        self.deadline = deadline
+        # the route ``uri`` matches, as (entry, canonical URI) or None; set
+        # once by Monitor.route
+        self.route = _UNSET
 
     def time_left(self, cap: float) -> float:
         """Seconds an upstream call may take: ``cap``, cut to the time left
@@ -68,7 +75,7 @@ class RequestContext:
             headers={k.lower(): v for k, v in headers.items()},
             # unparseable: all request.* paths become Absent (fail-closed)
             body=parse_json(raw_body),
-            arrival_time=arrival_time or datetime.now(timezone.utc),
+            arrival_time=arrival_time,
         )
 
     def auth_token(self) -> Optional[str]:
@@ -79,20 +86,33 @@ class RequestContext:
         return node if isinstance(node, str) else None
 
 
-@dataclass
 class Snapshot:
-    bindings: dict[E.Path, E.Value]
-    captured_at: datetime
+    __slots__ = ("bindings", "captured_at")
+
+    def __init__(self, bindings: dict[E.Path, E.Value], captured_at: datetime):
+        self.bindings = bindings
+        self.captured_at = captured_at
 
 
-@dataclass
 class Verdict:
-    outcome: str  # pass | pre_violation | post_violation | audit_violation
-    failed_atoms: Failed = field(default_factory=list)
-    contract_id: Optional[str] = None
-    probe_ms: float = 0.0
-    upstream_ms: float = 0.0
-    total_ms: float = 0.0
+    __slots__ = ("outcome", "failed_atoms", "contract_id", "probe_ms", "upstream_ms",
+                 "total_ms")
+
+    def __init__(
+        self,
+        outcome: str,  # pass | pre_violation | post_violation | audit_violation
+        failed_atoms: Optional[Failed] = None,
+        contract_id: Optional[str] = None,
+        probe_ms: float = 0.0,
+        upstream_ms: float = 0.0,
+        total_ms: float = 0.0,
+    ):
+        self.outcome = outcome
+        self.failed_atoms = [] if failed_atoms is None else failed_atoms
+        self.contract_id = contract_id
+        self.probe_ms = probe_ms
+        self.upstream_ms = upstream_ms
+        self.total_ms = total_ms
 
     @property
     def phase(self) -> str:
@@ -105,14 +125,24 @@ class Verdict:
         return [{"expr": text, "value": value.value} for text, value in self.failed_atoms]
 
 
-@dataclass
 class ViolationRecord:
-    timestamp: datetime
-    verdict: Verdict
-    method: str
-    uri: str
-    requester: Optional[str] = None
-    upstream_status: Optional[int] = None
+    __slots__ = ("timestamp", "verdict", "method", "uri", "requester", "upstream_status")
+
+    def __init__(
+        self,
+        timestamp: datetime,
+        verdict: Verdict,
+        method: str,
+        uri: str,
+        requester: Optional[str] = None,
+        upstream_status: Optional[int] = None,
+    ):
+        self.timestamp = timestamp
+        self.verdict = verdict
+        self.method = method
+        self.uri = uri
+        self.requester = requester
+        self.upstream_status = upstream_status
 
     def to_json(self) -> dict:
         return {
@@ -376,13 +406,22 @@ class Resolver:
 # Monitor
 
 
-@dataclass
 class MonitorResult:
-    status: int
-    headers: list[tuple[str, str]]
-    body: bytes
-    verdict: Optional[Verdict] = None
-    violation: Optional[ViolationRecord] = None
+    __slots__ = ("status", "headers", "body", "verdict", "violation")
+
+    def __init__(
+        self,
+        status: int,
+        headers: list[tuple[str, str]],
+        body: bytes,
+        verdict: Optional[Verdict] = None,
+        violation: Optional[ViolationRecord] = None,
+    ):
+        self.status = status
+        self.headers = headers
+        self.body = body
+        self.verdict = verdict
+        self.violation = violation
 
 
 class Monitor:
@@ -401,8 +440,6 @@ class Monitor:
         self.bindings = {b.path: b for b in reversed(rm.bindings)}  # first wins
         self.routes = routes
         self.contracts = {(c.method, c.uri_template): c for c in contracts}
-        for c in contracts:  # lowered here, at load, not on a request
-            c.snapshot_paths, c.pre_checks, c.post_checks
         self.upstream = upstream
         self.probe_timeout_s = probe_timeout_s
         self.paper_status = paper_status

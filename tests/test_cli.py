@@ -1,10 +1,13 @@
 """CLI exit codes and output tests (invoked in-process via main())."""
 
+import socket
+
 import pytest
 
-from contractgate import keystone_fixture_path
+from contractgate import cli, keystone_fixture_path
 from contractgate.cli import EXIT_DOMAIN_ERROR, EXIT_OK, main
 from contractgate.contracts import derive_contracts, render_contracts
+from contractgate.gateway import build_gateway
 from contractgate.model import load_model
 
 
@@ -135,6 +138,30 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "/no/such.model" not in err  # refused before the model is read
+
+    @pytest.mark.parametrize("listen", ["127.0.0.1:abc", "busy"])
+    def test_unusable_listen_address_is_domain_error(self, monkeypatch, capsys, listen):
+        """A gateway that cannot listen exits 1 with ``error:``, its log
+        writer stopped; "busy" is a port another socket listens on."""
+        built = []
+
+        def build(cfg):
+            built.append(build_gateway(cfg))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_gateway", build)
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            if listen == "busy":
+                listen = f"127.0.0.1:{taken.getsockname()[1]}"
+            code = main(["run", "--listen", listen, "--upstream", "http://127.0.0.1:1",
+                         "--model", keystone_fixture_path()])
+        assert code == EXIT_DOMAIN_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not built[0].violation_log.writer_alive
 
     def test_bad_clock_for_mock_is_domain_error(self, capsys):
         assert main(["mock", "--clock", "yesterdayish"]) == EXIT_DOMAIN_ERROR

@@ -58,6 +58,8 @@ class TestParse:
         upper = E.parse_expression("Token.token->size()=0")
         lower = E.parse_expression("token.token->size()=0")
         assert upper == lower
+        keyed = {E.make_path(["Token", "token"]): 1, E.make_path(["token", "token"]): 2}
+        assert keyed == {E.make_path(["token", "token"]): 2}
 
     def test_implies_is_right_associative(self):
         e = E.parse_expression("a.x=1 ==> b.x=2 ==> c.x=3")
@@ -153,6 +155,31 @@ def _trees(children):
 ASTS = st.recursive(_LEAVES, _trees, max_leaves=12)
 
 
+class TestValueSemantics:
+    def test_connectives_with_equal_operands_are_unequal(self):
+        a, b = E.parse_expression("a.x"), E.parse_expression("b.y")
+        nodes = [E.And(a, b), E.Or(a, b), E.Implies(a, b)]
+        for i, left in enumerate(nodes):
+            for j, right in enumerate(nodes):
+                assert (left == right) is (i == j)
+                assert (left != right) is (i != j)
+
+    def test_comparisons_differing_only_in_op_are_unequal(self):
+        left, right = E.PathRef(E.make_path(["a", "x"])), E.Literal(1)
+        nodes = [E.Compare(op, left, right) for op in E.COMPARE_OPS]
+        assert len(set(nodes)) == len(E.COMPARE_OPS)
+        assert E.Compare("<", left, right) != E.Compare("<=", left, right)
+
+    def test_nodes_paths_and_values_are_immutable(self):
+        e = E.parse_expression("a.x=1")
+        cases = [(e, "op"), (e.left, "path"), (e.right, "value"), (E.CLOCK_TIME, "value"),
+                 (E.make_path(["a", "x"]), "segments"), (E.integer(1), "data")]
+        for obj, field in cases:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+        assert E.to_text(e) == "a.x=1"
+
+
 class TestPrint:
     def test_compact_comparisons_spaced_connectives(self):
         e = E.parse_expression("user.role = 'admin' and token.token->size()=1")
@@ -167,7 +194,7 @@ class TestPrint:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(ASTS)
     def test_round_trip_on_generated_trees(self, e):
-        # reprs, not ==: Literal(True) == Literal(1) under dataclass equality
+        # reprs, not ==: Literal(True) == Literal(1) under field-wise equality
         assert repr(E.parse_expression(E.to_text(e))) == repr(e)
 
     def test_comparison_operand_keeps_its_parentheses(self):
@@ -500,7 +527,9 @@ def _subterms(e: E.Expression):
 class TestTransform:
     def test_identity_function_rebuilds_an_equal_tree(self):
         for e in _generated_trees(31):
-            assert E.transform(e, lambda n: n) == e
+            rebuilt = E.transform(e, lambda n: n)
+            assert rebuilt == e
+            assert hash(rebuilt) == hash(e)
 
     def test_fn_runs_bottom_up_on_rebuilt_operands(self):
         e = E.parse_expression("a.x=1 and not (b.y or c.z)")

@@ -2,7 +2,6 @@
 alternate operating modes."""
 
 import builtins
-import dataclasses
 import hashlib
 import json
 import random
@@ -136,6 +135,10 @@ class TestFootprint:
         "importlib.resources",
         "tempfile",
         "shutil",
+        "dataclasses",
+        "inspect",
+        "ast",
+        "dis",
     }
 
     def test_gateway_process_loads_no_http_tls_or_email_stack(self):
@@ -236,7 +239,9 @@ def _line(violation) -> str:
 
 
 def _numbered(n: int) -> ViolationRecord:
-    return dataclasses.replace(_record(), uri=f"/v3/users/u-{n}")
+    record = _record()
+    record.uri = f"/v3/users/u-{n}"
+    return record
 
 
 class _CountingFile:

@@ -136,6 +136,15 @@ class TestLoad:
             load_model(document)
         assert str(info.value) == message
 
+    def test_records_are_immutable(self, loaded_model):
+        rm, bm, rules = loaded_model
+        records = [rm, rm.definitions[0], rm.definitions[0].attributes[0],
+                   rm.associations[0], rm.bindings[0], bm, bm.states[0], bm.transitions[0],
+                   rules[0], derive_routes(rm, bm), derive_routes(rm, bm).entries[0]]
+        for record in records:
+            with pytest.raises(AttributeError):
+                setattr(record, type(record)._fields[0], None)
+
     def test_bindings_loaded(self, loaded_model):
         rm, _, _ = loaded_model
         sources = {(str(b.path), b.source) for b in rm.bindings}
