@@ -252,13 +252,15 @@ class _GatewayHandler(socketserver.BaseRequestHandler):
     timeout = CLIENT_TIMEOUT_S
 
     def handle(self) -> None:
-        self.request.settimeout(self.timeout)
         reader = SocketReader(self.request)
         try:
+            self.request.settimeout(self.timeout)
             while self._serve_one(reader):
                 pass
-        except (TimeoutError, ConnectionResetError, BrokenPipeError):
-            pass  # the client stalled or went away: close without a reply
+        except OSError:
+            # the client stalled or went away, or the server closed the
+            # socket under the handler: close without a reply
+            pass
 
     def _serve_one(self, reader: SocketReader) -> bool:
         """Read and answer one request; whether the connection stays open."""

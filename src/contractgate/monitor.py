@@ -18,7 +18,7 @@ from typing import Optional
 from . import expr as E
 from .contracts import Check, Contract
 from .httpreply import HOP_BY_HOP, HttpUpstream, UpstreamError, UpstreamResponse
-from .httpreply import field_values, parse_json
+from .httpreply import parse_json
 from .model import ResourceModel, RouteEntry, RouteTable
 
 _UNSET = object()
@@ -197,44 +197,25 @@ class MonitorVariables:
 
 
 def json_walk(node: object, segments: tuple[str, ...]) -> object:
-    """Exact descent through dicts/lists; integer segments index lists.
-    Returns None when the path does not exist."""
+    """Exact descent through dicts/lists; a segment of ASCII digits indexes
+    a list.  Returns None when the path does not exist."""
     for seg in segments:
         if isinstance(node, dict):
-            if seg not in node:
-                return None
-            node = node[seg]
-        elif isinstance(node, list):
-            try:
-                node = node[int(seg)]
-            except (ValueError, IndexError):
-                return None
+            node = node.get(seg)
+        elif isinstance(node, list) and seg.isascii() and seg.isdigit():
+            index = int(seg)
+            node = node[index] if index < len(node) else None
         else:
             return None
     return node
 
 
-def json_search(node: object, segments: tuple[str, ...]) -> object:
-    """Like json_walk but the first segment may live at any depth: payloads
-    wrap fields in envelope objects (e.g. ``auth`` or ``token``), so
-    ``scope`` finds ``auth.scope``.  Document order, first match wins."""
-    direct = json_walk(node, segments)
-    if direct is not None:
-        return direct
-    if isinstance(node, dict):
-        for key, child in node.items():
-            if key == segments[0]:
-                rest = json_walk(child, segments[1:])
-                if rest is not None:
-                    return rest
-            found = json_search(child, segments)
-            if found is not None:
-                return found
-    elif isinstance(node, list):
-        for child in node:
-            found = json_search(child, segments)
-            if found is not None:
-                return found
+def _member_walk(node: object, segments: tuple[str, ...]) -> object:
+    """``segments`` under a message's one top-level member (``auth`` for a
+    login); None when the document has any other shape."""
+    if isinstance(node, dict) and len(node) == 1:
+        (member,) = node.values()
+        return json_walk(member, segments)
     return None
 
 
@@ -265,7 +246,16 @@ class Resolver:
     the request payload or the validated-token representation for a ``bind``
     hint, the reply for the addressed resource in the post phase, and
     otherwise a GET probe of the addressed resource's canonical URI or of
-    another resource's fixed route.  Probes are cached per URI for the phase."""
+    another resource's fixed route.  Probes are cached per URI for the phase.
+
+    Each path has one exact JSON location, and a value anywhere else is never
+    read.  Attribute ``d.a`` is ``a`` in the reply's member named ``d``
+    (``{"user": {"id": …}}``), and ``token.token``, named after its own
+    resource, is that member itself.  A ``bind … from token`` path is read
+    under the token probe's ``token`` member, and a ``bind … from request``
+    path from the body's root.  ``request.*`` and ``response.*`` paths are
+    read under their message's one top-level member (``auth`` for a login),
+    and are Absent when it has any other shape."""
 
     def __init__(
         self,
@@ -301,8 +291,7 @@ class Resolver:
             name = "-".join(path.segments[1:]).lower()
             raw = self.ctx.headers.get(name)
             return E.text(raw) if raw is not None else E.ABSENT
-        node = json_search(self.ctx.body, path.segments)
-        return json_to_value(node)
+        return json_to_value(_member_walk(self.ctx.body, path.segments))
 
     def _resolve_self(self, path: E.Path) -> E.Value:
         if path.segments == ("processing",):
@@ -316,8 +305,7 @@ class Resolver:
             return E.ABSENT
         if path.segments == ("status",):
             return E.integer(self.upstream_response.status)
-        node = json_search(self.upstream_response.json(), path.segments)
-        return json_to_value(node)
+        return json_to_value(_member_walk(self.upstream_response.json(), path.segments))
 
     def _resolve_resource(self, path: E.Path) -> E.Value:
         definition = self.monitor.rm.definition(path.head)
@@ -326,14 +314,18 @@ class Resolver:
         attr_name = path.segments[1] if len(path.segments) > 1 else None
         attr = definition.attribute(attr_name) if attr_name else None
         attr_type = attr.type if attr else None
-        json_path = (attr_name,) if attr_name else None
+        json_path = None
+        if attr_name == definition.name:
+            json_path = (attr_name,)
+        elif attr_name is not None:
+            json_path = (definition.name, attr_name)
 
         binding = self.monitor.bindings.get(path)
         if binding is not None and binding.source == "request":
             return json_to_value(json_walk(self.ctx.body, binding.json_path), attr_type)
         if binding is not None:
             # token-representation source: validate the caller's token upstream
-            uri, json_path = self._fixed_uri("token"), binding.json_path
+            uri, json_path = self._fixed_uri("token"), ("token",) + binding.json_path
             if uri is None:
                 return E.INVALID
         elif (
@@ -341,15 +333,12 @@ class Resolver:
             and definition.name.lower() == self.route_entry.definition.lower()
         ):
             resp = self.upstream_response
-            if resp is not None and attr_name is not None:
-                subject = (field_values(resp.headers, "X-Subject-Token") or [""])[0]
-                if definition.name.lower() == "token" and attr_name == "token" and subject:
-                    return E.text(subject)
-                if resp.body:  # without a representation, re-probe
-                    doc = resp.json()
-                    if doc is None:
-                        return E.INVALID  # unparseable upstream body
-                    return json_to_value(json_search(doc, json_path), attr_type)
+            # without a representation, re-probe
+            if resp is not None and json_path is not None and resp.body:
+                doc = resp.json()
+                if doc is None:
+                    return E.INVALID  # unparseable upstream body
+                return json_to_value(json_walk(doc, json_path), attr_type)
             uri = self.resource
         else:
             uri = self._fixed_uri(definition.name)
@@ -366,7 +355,7 @@ class Resolver:
         doc = reply.json()
         if doc is None:
             return E.INVALID  # unparseable probe body
-        return json_to_value(json_search(doc, json_path), attr_type)
+        return json_to_value(json_walk(doc, json_path), attr_type)
 
     def _fixed_uri(self, definition: str) -> Optional[str]:
         entry = self.monitor.routes.for_definition(definition)
@@ -396,7 +385,7 @@ class Resolver:
     def requester_name(self) -> Optional[str]:
         for resp in self._probes.values():
             if resp is not None and resp.status == 200:
-                node = json_search(resp.json(), ("token", "user", "name"))
+                node = json_walk(resp.json(), ("token", "user", "name"))
                 if isinstance(node, str):
                     return node
         return None

@@ -736,6 +736,16 @@ class TestClientTimeout:
         assert len(harness.service.request_log) == before
 
 
+class TestSocketClosedUnderTheHandler:
+    def test_handler_on_a_closed_socket_ends_quietly(self):
+        """The server can close a connection's socket under its handler, as
+        a SIGINT inside ``process_request`` does; the handler then ends as
+        for a client that went away, and prints no traceback."""
+        sock = socket.socket()
+        sock.close()
+        _GatewayHandler(sock, ("127.0.0.1", 0), None)
+
+
 class TestConcurrency:
     def test_parallel_gets_all_succeed(self, harness):
         import concurrent.futures

@@ -32,7 +32,6 @@ from contractgate.monitor import (
     RequestContext,
     Resolver,
     Snapshot,
-    json_search,
     json_to_value,
     json_walk,
 )
@@ -40,7 +39,7 @@ from conftest import http_call, password_body, token_body
 
 
 class TestJsonHelpers:
-    DOC = {"token": {"roles": [{"name": "admin"}], "user": {"id": "u-1"}}}
+    DOC = {"token": {"roles": [{"name": "admin"}, {"name": "member"}], "user": {"id": "u-1"}}}
 
     def test_walk_exact_path(self):
         assert json_walk(self.DOC, ("token", "user", "id")) == "u-1"
@@ -51,13 +50,11 @@ class TestJsonHelpers:
     def test_walk_missing_is_none(self):
         assert json_walk(self.DOC, ("token", "ghost")) is None
 
-    def test_search_skips_envelopes(self):
-        assert json_search(self.DOC, ("roles", "0", "name")) == "admin"
-        assert json_search(self.DOC, ("id",)) == "u-1"
-
-    def test_search_prefers_exact_match(self):
-        doc = {"id": "outer", "inner": {"id": "inner"}}
-        assert json_search(doc, ("id",)) == "outer"
+    @pytest.mark.parametrize("index", ["-1", "+1", "\u0660", " 0", "0x0", "", "2"])
+    def test_walk_indexes_a_list_with_ascii_digits_only(self, index):
+        """A list index is ``[0-9]+``: no sign, no other script's digits,
+        no count from the end."""
+        assert json_walk(self.DOC, ("token", "roles", index, "name")) is None
 
     def test_to_value_typing(self):
         assert json_to_value(None) == E.ABSENT
@@ -572,12 +569,118 @@ class TestResolverNamespaces:
         for text, value in [
             ("response.status", E.integer(201)),
             ("response.user", E.text("alice")),
-            ("response.token.n", E.integer(2)),
+            ("response.token.n", E.ABSENT),
             ("response.missing", E.ABSENT),
         ]:
             path = E.parse_expression(text).path
             assert post(path) == value
             assert pre(path) is E.ABSENT
+        two_members = UpstreamResponse(201, [], b'{"token": {"user": "alice"}, "x": {}}')
+        path = E.parse_expression("response.user").path
+        assert Resolver(monitor, ctx, two_members)(path) is E.ABSENT
+
+
+def _json_reply(doc: object) -> bytes:
+    body = json.dumps(doc).encode()
+    head = f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {len(body)}"
+    return head.encode() + b"\r\n\r\n" + body
+
+
+# Field names of the bundled model's locations, for decoys to reuse.
+_KEYS = ("token", "user", "roles", "name", "id", "auth", "scope", "extra")
+
+
+def _nest(keys: list[str], leaf: object) -> object:
+    for key in reversed(keys):
+        leaf = [leaf] if key.isdigit() else {key: leaf}
+    return leaf
+
+
+@st.composite
+def _placed(draw, location: tuple[str, ...], min_depth: int = 0):
+    """A document with "real" at ``location``, or with the location cut off
+    at a field at least ``min_depth`` deep, and decoys: the location's tails
+    under other keys, at every depth and before or after the real field."""
+    cut = draw(st.sampled_from(
+        [d for d in range(min_depth, len(location)) if not location[d].isdigit()]
+        + [len(location)]
+    ))
+
+    def decoy():
+        tail = location[draw(st.integers(0, len(location) - 1)):]
+        return _nest(draw(st.lists(st.sampled_from(_KEYS), max_size=2)) + list(tail), "decoy")
+
+    def level(depth):
+        if depth == len(location):
+            return "real"
+        seg = location[depth]
+        if seg.isdigit():  # the real element at its index, decoys after it
+            return [level(depth + 1)] + [decoy() for _ in range(draw(st.integers(0, 2)))]
+        keys = draw(st.lists(st.sampled_from(_KEYS).filter(lambda k: k != seg),
+                             max_size=2, unique=True))
+        others = [(key, decoy()) for key in keys]
+        real = [(seg, level(depth + 1))] if depth < cut else []
+        at = draw(st.integers(0, len(others)))
+        return dict(others[:at] + real + others[at:])
+
+    return level(0), cut == len(location)
+
+
+class TestExactLocations:
+    """Every path is read at one exact JSON location: a field of the same
+    name anywhere else in a reply or request body is never read."""
+
+    def test_nested_roles_do_not_make_the_caller_admin(self, raw_upstream, raw_gateway):
+        """An unscoped token has no ``roles``; one nested elsewhere in its
+        representation is not the caller's role."""
+        expires = datetime.now(timezone.utc) + timedelta(hours=1)
+        token = {"token": {
+            "expires_at": expires.strftime("%Y-%m-%dT%H:%M:%S.%fZ"),
+            "user": {"name": "bob", "extra": {"roles": [{"name": "admin"}]}},
+        }}
+        replies = {
+            ("GET", "/v3/auth/tokens"): _json_reply(token),
+            ("GET", "/v3/users/u-x"): _json_reply({"user": {"id": "u-x", "name": "x"}}),
+        }
+        upstream = raw_upstream(lambda method, target: replies.get(
+            (method, target), b"HTTP/1.1 204 No Content\r\n\r\n"
+        ))
+        gateway = raw_gateway(upstream.url)
+        status, _, body = http_call(
+            gateway.port, "DELETE", "/v3/users/u-x", headers={"X-Auth-Token": "t-bob"}
+        )
+        assert status == 412
+        assert json.loads(body)["failed"] == [
+            {"expr": "user.role='admin'", "value": "unknown"}
+        ]
+        assert sorted(upstream.requests) == [
+            ("GET", "/v3/auth/tokens"), ("GET", "/v3/users/u-x")
+        ]
+
+    @pytest.mark.parametrize("source,location,min_depth", [
+        ("user.role", ("token", "roles", "0", "name"), 0),  # token probe, by its bind
+        ("user.id", ("user", "id"), 0),  # the addressed user's probe
+        ("request.scope", ("auth", "scope"), 1),  # the login body
+    ])
+    def test_decoys_are_never_read(self, loaded_model, source, location, min_depth):
+        rm, bm, _ = loaded_model
+        upstream = HttpUpstream("http://127.0.0.1:9")  # never called
+        monitor = Monitor(rm, derive_routes(rm, bm), [], upstream)
+        path = E.parse_expression(source).path
+
+        @settings(max_examples=50, derandomize=True, deadline=None)
+        @given(_placed(location, min_depth))
+        def check(placed):
+            doc, present = placed
+            if source.startswith("request."):
+                resolver = Resolver(monitor, RequestContext("POST", "/v3/auth/tokens", body=doc))
+                present = present and len(doc) == 1  # a body of one member
+            else:
+                resolver = Resolver(monitor, RequestContext("DELETE", "/v3/users/u-x"))
+                resolver.probe = lambda uri: UpstreamResponse(200, [], json.dumps(doc).encode())
+            assert resolver(path) == (E.text("real") if present else E.ABSENT)
+
+        check()
 
 
 class TestRequestDeadline:
