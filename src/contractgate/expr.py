@@ -305,13 +305,14 @@ class ExprSyntaxError(ValueError):
 
 
 _PUNCTUATION = sorted({"==>", "->", "(", ")", "."} | set(COMPARE_OPS), key=lambda p: (-len(p), p))
+STRING = r"'[^']*'"  # a text literal, ended by the next quote; the model loader reads it too
 # One token after optional whitespace.  An int is what int() reads (\d, not
 # str.isdigit); an identifier starts with a letter or "_", checked in
 # _tokenize because \w also holds digits such as "²".  ``bad`` matches
 # wherever nothing else does.
 _TOKEN = re.compile(
     r"\s*(?:(?P<op>" + "|".join(map(re.escape, _PUNCTUATION)) + r")"
-    r"|(?P<string>'[^']*')|(?P<int>\d+)|(?P<ident>\w+)|(?P<end>\Z)|(?P<bad>))"
+    rf"|(?P<string>{STRING})|(?P<int>\d+)|(?P<ident>\w+)|(?P<end>\Z)|(?P<bad>))"
 )
 _CONSTANTS = {"True": LIT_TRUE, "False": LIT_FALSE, "clockTime": CLOCK_TIME}
 _CALLS = {"size": SizeOf, "oclIsInvalid": IsInvalid}

@@ -2,10 +2,10 @@
 URI route derivation.
 
 Models are loaded from a line-oriented UTF-8 document of directives, one a
-line; ``_DIRECTIVES`` holds the pattern each directive's line must match.
-Comments start with ``#``.  A resource whose name starts with ``collection_``
-is treated as a collection even without the explicit flag.  The first
-declared resource is the model root; the first declared state is initial.
+line; ``_DIRECTIVES`` holds the pattern each directive's line must match.  A
+text literal, ``expr.STRING``, is read whole: a ``#`` or clause keyword in one
+is text.  A ``collection_…`` resource is a collection even without the flag.
+The first declared resource is the model root; the first state is initial.
 """
 
 from __future__ import annotations
@@ -165,6 +165,8 @@ class RouteTable(NamedTuple):
 # Document loading
 
 
+_CLAUSE = rf"(?:{E.STRING}|[^'])*?(?:'[^']*$)?"  # literals read whole; a lone ' takes the rest
+_CODE = re.compile(rf"(?:{E.STRING}|[^'#])*(?:'.*)?")  # before a comment; a lone ' keeps all
 # Each directive keyword and the pattern the rest of its line must match.
 _DIRECTIVES = {
     "resource": re.compile(r"(?P<name>\S+)(?P<flags>.*)"),
@@ -177,13 +179,13 @@ _DIRECTIVES = {
     "transition": re.compile(
         r"(?P<id>\S+)\s*:\s*(?P<source>\S+)\s*->\s*(?P<target>\S+)\s+on\s+"
         r"(?P<method>[A-Z]+)\s+(?P<uri>\S+)"
-        r"(?:\s+guard:\s*(?P<guard>.*?))?"
-        r"(?:\s+effect:\s*(?P<effect>.*?))?"
-        r"(?:\s+actor:\s*(?P<actor>\S+))?\s*"
+        rf"(?:\s+guard:\s*(?P<guard>{_CLAUSE}))?"
+        rf"(?:\s+effect:\s*(?P<effect>{_CLAUSE}))?"
+        r"(?:\s+actor:\s*(?P<actor>[^\s']+))?\s*"
     ),
     "rule": re.compile(
         r"(?P<id>\S+)\s+on\s+(?P<method>[A-Z]+)\s+(?P<uri>\S+)\s*:\s*"
-        r"(?:if\s+(?P<if>.*?)\s+then\s+(?P<then>.*)|always\s+(?P<always>.*))"
+        rf"(?:if\s+(?P<if>{_CLAUSE})\s+then\s+(?P<then>.*)|always\s+(?P<always>.*))"
     ),
     "bind": re.compile(
         r"(?P<path>\S+)\s+from\s+(?P<source>request|token)\s+(?P<json>\S+)\s*"
@@ -222,7 +224,7 @@ def load_model(
 
     previous = None  # the last line's directive: an attr line extends a resource block
     for lineno, raw in enumerate(document.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        stripped = _CODE.match(raw)[0].strip()
         if not stripped:
             continue
         keyword, _, rest = stripped.partition(" ")
@@ -433,35 +435,32 @@ def validate_model(
     if len(set(transition_ids)) != len(transition_ids):
         diags.append("duplicate transition ids")
 
-    # expression paths must resolve against the model or a reserved namespace
-    def check_expr(owner: str, e: Optional[E.Expression]) -> None:
-        if e is None:
-            return
-        for p in E.free_paths(e):
+    # a resource path names a definition, and at most one of its attributes;
+    # other namespaces are reserved
+    def check_paths(owner: str, *exprs: Optional[E.Expression]) -> None:
+        paths = set().union(*(E.free_paths(e) for e in exprs if e is not None))
+        for p in sorted(paths, key=str):
             if p.namespace is not E.Namespace.RESOURCE:
                 continue
             d = rm.definition(p.head)
             if d is None:
                 diags.append(f"{owner}: unknown resource {p.head!r} in {p}")
-            elif len(p.segments) >= 2 and not d.is_collection:
-                if d.attribute(p.segments[1]) is None:
-                    diags.append(f"{owner}: unknown attribute {p}")
+            elif len(p.segments) >= 2 and d.attribute(p.segments[1]) is None:
+                diags.append(f"{owner}: unknown attribute {p}")
+            elif len(p.segments) > 2:
+                diags.append(f"{owner}: path {p} goes deeper than its attribute")
 
     for s in bm.states:
-        check_expr(f"state {s.name}", s.invariant)
+        check_paths(f"state {s.name}", s.invariant)
     for t in bm.transitions:
-        check_expr(f"transition {t.id}", t.guard)
-        check_expr(f"transition {t.id}", t.effect)
+        check_paths(f"transition {t.id}", t.guard, t.effect)
+        source = bm.state(t.source)
+        invariant = source.invariant if source else E.LIT_TRUE
+        if not _can_hold(E.And(invariant, t.guard if t.guard is not None else E.LIT_TRUE)):
+            diags.append(f"transition {t.id}: can never fire from state {t.source}")
     for r in rules:
-        check_expr(f"rule {r.id}", r.if_expr)
-        check_expr(f"rule {r.id}", r.then_expr)
-        check_expr(f"rule {r.id}", r.rule_expr)
-    for b in rm.bindings:
-        d = rm.definition(b.path.head)
-        if d is None:
-            diags.append(f"bind {b.path}: unknown resource {b.path.head!r}")
-        elif len(b.path.segments) >= 2 and d.attribute(b.path.segments[1]) is None:
-            diags.append(f"bind {b.path}: unknown attribute")
+        check_paths(f"rule {r.id}", r.if_expr, r.then_expr, r.rule_expr)
+    check_paths("bind", *(E.PathRef(b.path) for b in rm.bindings))
 
     # every URI template referenced by a transition or rule must be routable
     if not diags:
@@ -486,6 +485,33 @@ def validate_model(
             )
 
     return diags
+
+
+MAX_GUARD_ATOMS = 10  # a formula with more distinct atoms is assumed satisfiable
+
+
+def _can_hold(e: E.Expression) -> bool:
+    """Whether some state could make ``e`` TRUE.  Each distinct comparison,
+    path, size, validity test or ``clockTime`` in ``e`` is read as an
+    independent atom, so no time is read.  Kleene's tables are monotone: if an
+    assignment with Unknown atoms makes ``e`` TRUE, so does one of TRUE and
+    FALSE alone, and those are all tried."""
+    atoms: dict[str, E.Path] = {}  # by text: as nodes, ``a = True`` equals ``a = 1``
+
+    def abstract(node: E.Expression) -> E.Expression:
+        if isinstance(node, (E.And, E.Or, E.Implies, E.Not, E.Literal)):
+            return node
+        fresh = E.Path(E.Namespace.SELF, (str(len(atoms)),))
+        return E.PathRef(atoms.setdefault(E.to_text(node), fresh))
+
+    formula = E.transform(e, abstract)
+    if len(atoms) > MAX_GUARD_ATOMS:
+        return True
+    return any(
+        E.evaluate(formula, E.Environment(lambda p: E.boolean(bits >> int(p.head) & 1), None))
+        is E.TRUE
+        for bits in range(2 ** len(atoms))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Model loading, validation, serialization and route derivation tests."""
 
+import itertools
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from contractgate import expr as E
 from contractgate.model import (
     ATTRIBUTE_TYPES,
+    MAX_GUARD_ATOMS,
     SIDE_EFFECT_METHODS,
     UNBOUNDED,
     Association,
@@ -23,7 +28,7 @@ from contractgate.model import (
     load_model,
     validate_model,
 )
-from oracle import serialize_model
+from oracle import T, gen_boolean_expr, oracle_eval, serialize_model
 
 MINIMAL = """\
 resource Root
@@ -107,6 +112,8 @@ class TestLoad:
         (MINIMAL + "state A True\n", "line 3: state requires ': <expression>'"),
         (MINIMAL + "state A: True\ntransition t1 A -> A on POST /\n",
          "line 4: malformed transition line: 'transition t1 A -> A on POST /'"),
+        (MINIMAL + "state A: True\ntransition t1: A -> A on POST / actor: o'brien\n",
+         "line 4: malformed transition line: \"transition t1: A -> A on POST / actor: o'brien\""),
         (MINIMAL + "rule r1 POST /: always True\n",
          "line 3: malformed rule line: 'rule r1 POST /: always True'"),
         (MINIMAL + "bind root.name request x\n",
@@ -135,6 +142,46 @@ class TestLoad:
         with pytest.raises(ModelError) as info:
             load_model(document)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("line,clause,text", [
+        ("rule r1 on POST /: always user.name <> 'a#b'", "rule_expr", "user.name <> 'a#b'"),
+        ("rule r1 on POST /: if request.scope = 'p then q' then True", "if_expr",
+         "request.scope = 'p then q'"),
+        ("transition t1: A -> A on POST / guard: a.b = ' effect: x' effect: a.c = 1",
+         "guard", "a.b = ' effect: x'"),
+        ("transition t1: A -> A on POST / effect: a.c = ' actor: y' actor: admin",
+         "effect", "a.c = ' actor: y'"),
+        ("transition t1: A -> A on POST / guard: a.b <> ' guard: #' # a comment",
+         "guard", "a.b <> ' guard: #'"),
+    ])
+    def test_literal_holds_a_comment_mark_or_clause_keyword(self, line, clause, text):
+        _, bm, rules = load_model(MINIMAL + "state A: True\n" + line + "\n")
+        loaded = rules[0] if line.startswith("rule") else bm.transitions[0]
+        assert getattr(loaded, clause) == E.parse_expression(text)
+
+    @pytest.mark.parametrize("line,loads", [
+        # an unclosed quote keeps the rest of the line, which is refused
+        ("rule r on POST /: always a.b 'x # c", False),
+        ("transition t1: A -> A on POST / guard: a.b = 'x effect: c", False),
+        # an apostrophe after the comment mark is comment text
+        ("resource user  # the user's record", True),
+    ])
+    def test_quote_and_comment_mark(self, line, loads):
+        document = MINIMAL + "state A: True\n" + line + "\n"
+        if loads:
+            load_model(document)
+        else:
+            with pytest.raises(ModelError):
+                load_model(document)
+
+    def test_unclosed_quote_on_a_long_line_is_refused_in_linear_time(self):
+        # each clause can take a lone quote and the rest of the line, so the
+        # pattern never has to try every split of the line before it fails
+        clauses = "guard: " + "a effect: " * 3000 + "'"
+        started = time.perf_counter()
+        with pytest.raises(ModelError):
+            load_model(MINIMAL + f"state A: True\ntransition t1: A -> A on POST / {clauses}\n")
+        assert time.perf_counter() - started < 2.0
 
     def test_records_are_immutable(self, loaded_model):
         rm, bm, rules = loaded_model
@@ -205,6 +252,81 @@ class TestValidate:
             "so the rule is never checked"
         ]
 
+    def test_path_deeper_than_its_attribute(self):
+        rm, bm, rules = load_model(
+            MINIMAL + "state Odd: root.name.first = 'bob'\nbind root.name.x from request a\n"
+        )
+        assert validate_model(rm, bm, rules) == [
+            "state Odd: path root.name.first goes deeper than its attribute",
+            "bind: path root.name.x goes deeper than its attribute",
+        ]
+
+    def test_bind_and_expression_paths_get_one_check(self):
+        doc = MINIMAL + (
+            "resource collection_things\nassoc Root -> collection_things as things\n"
+            "state A: ghost.x = 1 and root.nope = 1 and collection_things.x = 1\n"
+            "bind ghost.x from request a\nbind root.nope from token b\n"
+            "bind collection_things.x from request c\n"
+        )
+        assert validate_model(*load_model(doc)) == [
+            "state A: unknown attribute collection_things.x",
+            "state A: unknown resource 'ghost' in ghost.x",
+            "state A: unknown attribute root.nope",
+            "bind: unknown attribute collection_things.x",
+            "bind: unknown resource 'ghost' in ghost.x",
+            "bind: unknown attribute root.nope",
+        ]
+
+    def test_guard_that_can_never_hold(self, fixture_document):
+        guard = b"guard: user.id->size()=1 actor"
+        doc = fixture_document.replace(
+            guard, b"guard: user.id->size()=1 and not user.id->size()=1 actor"
+        )
+        assert doc != fixture_document
+        assert validate_model(*load_model(doc)) == [
+            "transition t3: can never fire from state Token_Issued"
+        ]
+
+    @pytest.mark.parametrize("state,guard,fires", [
+        ("self.a", "not self.a", False),  # the invariant takes part
+        ("True", "False", False),
+        ("True", "'text'", False),  # a text literal's truth is Unknown
+        ("True", "self.a or not self.a", True),  # Unknown when self.a is
+        ("True", "self.a ==> self.a", True),
+        ("True", "self.a = 1 and not self.a = 1", False),
+        ("self.a = True", "not self.a = 1", True),  # two atoms: a boolean is not 1
+        ("False", None, False),
+    ])
+    def test_firing_condition(self, state, guard, fires):
+        clause = f" guard: {guard}" if guard else ""
+        doc = MINIMAL + f"state A: {state}\ntransition t1: A -> A on POST /{clause}\n"
+        expected = [] if fires else ["transition t1: can never fire from state A"]
+        assert validate_model(*load_model(doc)) == expected
+
+    @pytest.mark.parametrize("atoms", [MAX_GUARD_ATOMS, MAX_GUARD_ATOMS + 1])
+    def test_firing_condition_with_too_many_atoms_is_not_checked(self, atoms):
+        guard = " and ".join(f"self.a{i}" for i in range(atoms)) + " and not self.a0"
+        doc = MINIMAL + f"state A: True\ntransition t1: A -> A on POST / guard: {guard}\n"
+        expected = ["transition t1: can never fire from state A"]
+        assert validate_model(*load_model(doc)) == (expected if atoms <= MAX_GUARD_ATOMS else [])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_firing_diagnostic_matches_k3_oracle(self, seed):
+        """The diagnostic is given exactly when no three-valued assignment
+        of the atoms makes the source invariant and the guard both TRUE."""
+        rng = random.Random(seed)
+        atoms = [E.make_path(["self", name]) for name in "abc"]
+        invariant, guard = gen_boolean_expr(rng, atoms), gen_boolean_expr(rng, atoms)
+        transition = f"transition t1: A -> A on POST / guard: {E.to_text(guard)}"
+        doc = MINIMAL + f"state A: {E.to_text(invariant)}\n{transition}\n"
+        never = all(
+            oracle_eval(E.And(invariant, guard), dict(zip(atoms, values))) != T
+            for values in itertools.product("TFU", repeat=len(atoms))
+        )
+        diags = validate_model(*load_model(doc))
+        assert diags == (["transition t1: can never fire from state A"] if never else [])
+
     def test_unroutable_transition_uri(self):
         doc = MINIMAL + (
             "state A: self.processing = False\n"
@@ -271,15 +393,19 @@ class TestRoutes:
         assert derive_routes(rm, bm) == derive_routes(rm, bm)
 
 
-# Contracts holding no "#" and no clause keyword (" then ", "guard:"), which
-# would cut the line that holds them; the expression language has its own
-# round-trip tests.
+# Contracts of every node kind, some with a text literal that holds a comment
+# mark or a clause keyword, which is text there; the expression language has
+# its own round-trip tests.
 _EXPRESSIONS = st.sampled_from([
     "self.processing = False",
     "Token.token->size()=0 and clockTime <= token.expires_at",
     "not request.scope.oclIsInvalid() or request.scope <> 'a b-1'",
     "(user.id->size()=1 ==> user.role='admin') = True",
     "True",
+    "user.name <> 'a#b' and user.name <> '#'",
+    "request.scope = 'p then q' or request.scope = ' then '",
+    "user.id = ' guard: x' ==> user.name = ' effect: y'",
+    "not user.role = ' actor: admin'",
 ]).map(E.parse_expression)
 _URIS = st.sampled_from(["/", "/v3/users/{user_id}"])
 
