@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -74,8 +75,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             gateway.violation_log.close()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
-    print(f"gateway listening on {server.server_address[0]}:{server.server_address[1]}")
     try:
+        signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as on SIGINT
+        print(f"gateway listening on {server.server_address[0]}:{server.server_address[1]}")
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -1,11 +1,10 @@
 """Predicate language over resource, request, response and monitor paths.
 
-The surface syntax is a small OCL-like subset: boolean connectives
-(``and``/``or``/``not``/``==>``), comparisons, ``->size()`` and
+The surface syntax is a small OCL-like subset: paths of ``NAME``s, boolean
+connectives (``and``/``or``/``not``/``==>``), comparisons, ``->size()`` and
 ``.oclIsInvalid()`` calls, integer and quoted string literals, ``True``,
 ``False`` and the reserved ``clockTime`` symbol.  Evaluation is three-valued
-(Kleene K3): missing or invalid values fold into ``UNKNOWN`` instead of
-raising.
+(Kleene K3): a missing or invalid value folds into ``UNKNOWN``, not an error.
 """
 
 from __future__ import annotations
@@ -247,6 +246,9 @@ class PathRef(Expression):
 class Literal(Expression):
     __slots__ = ("value",)  # bool, int or str
 
+    def _values(self) -> tuple:
+        return (type(self.value), self.value)  # True == 1, but Literal(True) != Literal(1)
+
 
 class ClockTime(Expression):
     __slots__ = ()
@@ -306,13 +308,12 @@ class ExprSyntaxError(ValueError):
 
 _PUNCTUATION = sorted({"==>", "->", "(", ")", "."} | set(COMPARE_OPS), key=lambda p: (-len(p), p))
 STRING = r"'[^']*'"  # a text literal, ended by the next quote; the model loader reads it too
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # an identifier; the model's names follow it too
 # One token after optional whitespace.  An int is what int() reads (\d, not
-# str.isdigit); an identifier starts with a letter or "_", checked in
-# _tokenize because \w also holds digits such as "²".  ``bad`` matches
-# wherever nothing else does.
+# str.isdigit).  ``bad`` matches wherever nothing else does.
 _TOKEN = re.compile(
     r"\s*(?:(?P<op>" + "|".join(map(re.escape, _PUNCTUATION)) + r")"
-    rf"|(?P<string>{STRING})|(?P<int>\d+)|(?P<ident>\w+)|(?P<end>\Z)|(?P<bad>))"
+    rf"|(?P<string>{STRING})|(?P<int>\d+)|(?P<ident>{NAME})|(?P<end>\Z)|(?P<bad>))"
 )
 _CONSTANTS = {"True": LIT_TRUE, "False": LIT_FALSE, "clockTime": CLOCK_TIME}
 _CALLS = {"size": SizeOf, "oclIsInvalid": IsInvalid}
@@ -326,9 +327,7 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
         match = _TOKEN.match(src, pos)
         kind = match.lastgroup
         offset = match.start(kind)
-        if kind == "bad" or (
-            kind == "ident" and not (src[offset].isalpha() or src[offset] == "_")
-        ):
+        if kind == "bad":
             raise ExprSyntaxError(
                 src, offset, {"closing quote" if src.startswith("'", offset) else "expression"}
             )
@@ -652,19 +651,15 @@ def transform(e: Expression, fn: Callable[[Expression], Expression]) -> Expressi
     return fn(e)
 
 
-def _is_lit_true(e: Expression) -> bool:
-    return isinstance(e, Literal) and e.value is True
-
-
 def elide_true(e: Expression) -> Expression:
     """Drop Literal-True operands of conjunctions; the only simplification
     applied to derived contracts."""
 
     def drop(node: Expression) -> Expression:
         if isinstance(node, And):
-            if _is_lit_true(node.left):
+            if node.left == LIT_TRUE:
                 return node.right
-            if _is_lit_true(node.right):
+            if node.right == LIT_TRUE:
                 return node.left
         return node
 

@@ -6,6 +6,7 @@ line; ``_DIRECTIVES`` holds the pattern each directive's line must match.  A
 text literal, ``expr.STRING``, is read whole: a ``#`` or clause keyword in one
 is text.  A ``collection_…`` resource is a collection even without the flag.
 The first declared resource is the model root; the first state is initial.
+Resource and attribute names and ``bind`` path segments follow ``expr.NAME``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from . import expr as E
 ATTRIBUTE_TYPES = ("string", "integer", "boolean", "timestamp", "document")
 SIDE_EFFECT_METHODS = ("PUT", "POST", "DELETE")
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ROLE_SEGMENT_RE = re.compile(r"^[a-z0-9_-]+$")
 
 UNBOUNDED = -1  # max_card sentinel for 0..*
@@ -209,6 +209,12 @@ def _cardinality(bound: str, lineno: int) -> int:
     return int(bound)
 
 
+def _name(name: str, what: str, lineno: int) -> str:
+    if re.fullmatch(E.NAME, name) is None:
+        raise ModelError(f"invalid {what} {name!r}", lineno)
+    return name
+
+
 def load_model(
     document: bytes | str,
 ) -> tuple[ResourceModel, BehavioralModel, list[SecurityRule]]:
@@ -240,9 +246,7 @@ def load_model(
         previous = keyword
 
         if keyword == "resource":
-            name = m["name"]
-            if not _IDENT_RE.match(name):
-                raise ModelError(f"invalid resource name {name!r}", lineno)
+            name = _name(m["name"], "resource name", lineno)
             is_collection = "collection" in m["flags"].split() or name.startswith("collection_")
             definitions.append(
                 ResourceDefinition(name=name, kind="collection" if is_collection else "normal")
@@ -254,6 +258,7 @@ def load_model(
                     f"(expected one of {', '.join(ATTRIBUTE_TYPES)})",
                     lineno,
                 )
+            _name(m["name"], "attribute name", lineno)
             block = definitions[-1]
             named_id = m["name"] == "id" and block.id_attribute is None
             definitions[-1] = block._replace(
@@ -306,7 +311,7 @@ def load_model(
                 )
             )
         else:  # bind
-            segments = m["path"].split(".")
+            segments = [_name(s, "bind path segment", lineno) for s in m["path"].split(".")]
             if len(segments) < 2 or segments[0] in E.RESERVED_HEADS:
                 raise ModelError("bind path must be <resource>.<attribute>", lineno)
             bindings.append(
@@ -496,13 +501,13 @@ def _can_hold(e: E.Expression) -> bool:
     independent atom, so no time is read.  Kleene's tables are monotone: if an
     assignment with Unknown atoms makes ``e`` TRUE, so does one of TRUE and
     FALSE alone, and those are all tried."""
-    atoms: dict[str, E.Path] = {}  # by text: as nodes, ``a = True`` equals ``a = 1``
+    atoms: dict[E.Expression, E.Path] = {}
 
     def abstract(node: E.Expression) -> E.Expression:
         if isinstance(node, (E.And, E.Or, E.Implies, E.Not, E.Literal)):
             return node
         fresh = E.Path(E.Namespace.SELF, (str(len(atoms)),))
-        return E.PathRef(atoms.setdefault(E.to_text(node), fresh))
+        return E.PathRef(atoms.setdefault(node, fresh))
 
     formula = E.transform(e, abstract)
     if len(atoms) > MAX_GUARD_ATOMS:

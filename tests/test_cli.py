@@ -1,14 +1,23 @@
-"""CLI exit codes and output tests (invoked in-process via main())."""
+"""CLI exit codes and output tests (invoked in-process via main(), except
+one SIGTERM test of a `run` process)."""
 
+import os
+import signal
 import socket
+import subprocess
+import sys
+import threading
 
 import pytest
 
 from contractgate import cli, keystone_fixture_path
+from contractgate import mock_keystone as mk
+from contractgate import mock_server as ms
 from contractgate.cli import EXIT_DOMAIN_ERROR, EXIT_OK, main
 from contractgate.contracts import derive_contracts, render_contracts
 from contractgate.gateway import build_gateway
 from contractgate.model import load_model
+from conftest import http_call, password_body
 
 
 class TestValidate:
@@ -162,6 +171,38 @@ class TestRun:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not built[0].violation_log.writer_alive
+
+    def test_sigterm_stops_like_sigint_and_keeps_every_violation_record(self, tmp_path):
+        """A gateway process stopped by SIGTERM closes its violation log, so
+        each refused request has its line, and exits 0."""
+        mock = ms.make_server(mk.MockKeystone(mk.IdentityStore()))
+        threading.Thread(target=mock.serve_forever, kwargs={"poll_interval": 0.02},
+                         daemon=True).start()
+        _, headers, _ = http_call(mock.server_address[1], "POST", "/v3/auth/tokens",
+                                  password_body("alice", "wonder"))
+        alice = {"X-Auth-Token": dict(headers)["X-Subject-Token"]}
+        log = tmp_path / "violations.jsonl"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        gateway = subprocess.Popen(
+            [sys.executable, "-u", "-m", "contractgate.cli", "run", "--listen", "127.0.0.1:0",
+             "--upstream", f"http://127.0.0.1:{mock.server_address[1]}",
+             "--model", keystone_fixture_path(), "--log", str(log)],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            port = int(gateway.stdout.readline().rsplit(":", 1)[1])
+            statuses = [http_call(port, "DELETE", "/v3/users/u-admin", headers=alice)[0]
+                        for _ in range(20)]
+            assert statuses == [412] * 20
+            gateway.send_signal(signal.SIGTERM)
+            assert gateway.wait(timeout=10) == EXIT_OK
+        finally:
+            gateway.kill()
+            gateway.wait()
+            gateway.stdout.close()
+            mock.shutdown()
+            mock.server_close()
+        assert len(log.read_text().splitlines()) == 20
 
     def test_bad_clock_for_mock_is_domain_error(self, capsys):
         assert main(["mock", "--clock", "yesterdayish"]) == EXIT_DOMAIN_ERROR

@@ -110,6 +110,12 @@ class TestParse:
             E.parse_expression(f"x = {digit}")
         assert info.value.offset == 4
 
+    def test_non_ascii_identifier_is_a_syntax_error(self):
+        """A name is ASCII (``expr.NAME``), as the model's names are."""
+        with pytest.raises(E.ExprSyntaxError) as info:
+            E.parse_expression("user.é = 'x'")
+        assert info.value.offset == 5
+
     def test_decimal_digits_of_any_script_are_an_integer(self):
         assert E.parse_expression("x = ١٢") == E.Compare(
             "=", E.PathRef(E.make_path(["x"])), E.Literal(12)
@@ -170,6 +176,15 @@ class TestValueSemantics:
         assert len(set(nodes)) == len(E.COMPARE_OPS)
         assert E.Compare("<", left, right) != E.Compare("<=", left, right)
 
+    def test_literals_of_different_types_are_unequal(self):
+        """``True == 1`` in Python, but a literal's type is part of its identity."""
+        pairs = [(E.Literal(True), E.Literal(1)), (E.Literal(False), E.Literal(0)),
+                 (E.parse_expression("a = True"), E.parse_expression("a = 1"))]
+        for left, right in pairs:
+            assert left != right
+            assert hash(left) != hash(right)
+            assert len({left, right}) == 2
+
     def test_nodes_paths_and_values_are_immutable(self):
         e = E.parse_expression("a.x=1")
         cases = [(e, "op"), (e.left, "path"), (e.right, "value"), (E.CLOCK_TIME, "value"),
@@ -194,8 +209,7 @@ class TestPrint:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(ASTS)
     def test_round_trip_on_generated_trees(self, e):
-        # reprs, not ==: Literal(True) == Literal(1) under field-wise equality
-        assert repr(E.parse_expression(E.to_text(e))) == repr(e)
+        assert E.parse_expression(E.to_text(e)) == e
 
     def test_comparison_operand_keeps_its_parentheses(self):
         for text in ("(a.x=True)=True", "(not a.x)=False", "a.y<>(a.x or a.z)"):

@@ -98,6 +98,11 @@ class TestLoad:
     @pytest.mark.parametrize("document,message", [
         ("resource\n", "line 1: resource requires a name"),
         ("resource 9x\n", "line 1: invalid resource name '9x'"),
+        ("resource Root\n  attr a-b: string\n", "line 2: invalid attribute name 'a-b'"),
+        ("resource Root\n  attr 1x: string\n", "line 2: invalid attribute name '1x'"),
+        ("resource Root\n  attr 'q: string id\n", "line 2: invalid attribute name \"'q\""),
+        ("resource Root\n  attr é: string\n", "line 2: invalid attribute name 'é'"),
+        ("resource Root\n  attr a.b: string\n", "line 2: invalid attribute name 'a.b'"),
         ("attr x: string\n", "line 1: attr outside a resource block"),
         (MINIMAL + "state A: True\n  attr y: string\n",
          "line 4: attr outside a resource block"),
@@ -125,6 +130,8 @@ class TestLoad:
          "line 3: bind path must be <resource>.<attribute>"),
         (MINIMAL + "bind self.x from request x\n",
          "line 3: bind path must be <resource>.<attribute>"),
+        (MINIMAL + "bind root.na-me from request x\n",
+         "line 3: invalid bind path segment 'na-me'"),
         (MINIMAL + "frobnicate x\n", "line 3: unknown directive 'frobnicate'"),
         (MINIMAL + "state A: a.x ==\n",
          "line 3: in expression 'a.x ==': syntax error at offset 6: "
