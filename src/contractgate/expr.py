@@ -310,10 +310,12 @@ _PUNCTUATION = sorted({"==>", "->", "(", ")", "."} | set(COMPARE_OPS), key=lambd
 STRING = r"'[^']*'"  # a text literal, ended by the next quote; the model loader reads it too
 NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # an identifier; the model's names follow it too
 # One token after optional whitespace.  An int is what int() reads (\d, not
-# str.isdigit).  ``bad`` matches wherever nothing else does.
+# str.isdigit), and never directly follows a name character (``not١`` is not
+# ``not 1``).  ``bad`` matches wherever nothing else does.
 _TOKEN = re.compile(
     r"\s*(?:(?P<op>" + "|".join(map(re.escape, _PUNCTUATION)) + r")"
-    rf"|(?P<string>{STRING})|(?P<int>\d+)|(?P<ident>{NAME})|(?P<end>\Z)|(?P<bad>))"
+    rf"|(?P<string>{STRING})|(?P<int>(?<![A-Za-z0-9_])\d+)|(?P<ident>{NAME})"
+    r"|(?P<end>\Z)|(?P<bad>))"
 )
 _CONSTANTS = {"True": LIT_TRUE, "False": LIT_FALSE, "clockTime": CLOCK_TIME}
 _CALLS = {"size": SizeOf, "oclIsInvalid": IsInvalid}

@@ -1,5 +1,5 @@
-"""Declarative resource + state-machine model: types, loader, validation and
-URI route derivation.
+"""Declarative resource + state-machine model: types, loader, validation, URI
+route derivation and the source each contract path is read from.
 
 Models are loaded from a line-oriented UTF-8 document of directives, one a
 line; ``_DIRECTIVES`` holds the pattern each directive's line must match.  A
@@ -159,6 +159,76 @@ class RouteTable(NamedTuple):
             if entry.definition.lower() == lowered:
                 return entry
         return None
+
+
+class Source(NamedTuple):
+    """Where a resource path's value comes from on requests to one route
+    entry, decided once at load.  ``kind`` is one of ``request`` (the request
+    body, by a ``bind … from request`` hint), ``token`` (the token probe, by
+    a ``bind … from token`` hint), ``addressed`` (the addressed resource: its
+    reply in the post phase, else a probe of its canonical URI), ``fixed`` (a
+    probe of another resource's fixed route) and ``none``, which reads
+    ``unsourced`` on every request."""
+
+    kind: str
+    uri: Optional[str] = None  # the probe's URI; the route's template when addressed
+    json_path: Optional[tuple[str, ...]] = None  # None: the resource's existence
+    attr_type: Optional[str] = None
+    unsourced: E.Value = E.ABSENT
+
+
+def source(
+    rm: ResourceModel, routes: RouteTable, path: E.Path, entry: Optional[RouteEntry]
+) -> Source:
+    """``path``'s source on requests to ``entry`` (None: on no route).  Each
+    path has one exact JSON location: attribute ``d.a`` is ``a`` in the
+    member named ``d`` of its resource's representation, and ``token.token``
+    is that member itself; a ``bind … from token`` path is read under the
+    token probe's ``token`` member, a ``bind … from request`` path from the
+    body's root."""
+    definition = rm.definition(path.head)
+    if definition is None:
+        return Source("none", unsourced=E.INVALID)
+    attr_name = path.segments[1] if len(path.segments) > 1 else None
+    attr = definition.attribute(attr_name) if attr_name else None
+    attr_type = attr.type if attr else None
+    json_path = None
+    if attr_name == definition.name:
+        json_path = (attr_name,)
+    elif attr_name is not None:
+        json_path = (definition.name, attr_name)
+
+    def fixed_uri(name: str) -> Optional[str]:
+        found = routes.for_definition(name)
+        return None if found is None or "{" in found.uri_template else found.uri_template
+
+    binding = next((b for b in rm.bindings if b.path == path), None)  # first wins
+    if binding is not None and binding.source == "request":
+        return Source("request", None, binding.json_path, attr_type)
+    if binding is not None:
+        uri = fixed_uri("token")
+        if uri is None:
+            return Source("none", unsourced=E.INVALID)
+        return Source("token", uri, ("token",) + binding.json_path, attr_type)
+    if entry is not None and definition.name.lower() == entry.definition.lower():
+        return Source("addressed", entry.uri_template, json_path, attr_type)
+    uri = fixed_uri(definition.name)
+    if uri is None:
+        return Source("none")  # identity not determinable from the request
+    return Source("fixed", uri, json_path, attr_type)
+
+
+def plan(
+    rm: ResourceModel,
+    routes: RouteTable,
+    entry: Optional[RouteEntry],
+    exprs: tuple[E.Expression, ...],
+) -> dict[E.Path, Source]:
+    """The source of each resource path in ``exprs`` on requests to ``entry``."""
+    paths = set().union(*map(E.free_paths, exprs))
+    return {
+        p: source(rm, routes, p, entry) for p in paths if p.namespace is E.Namespace.RESOURCE
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -455,30 +525,52 @@ def validate_model(
             elif len(p.segments) > 2:
                 diags.append(f"{owner}: path {p} goes deeper than its attribute")
 
+    # an invariant or rule clause that can never hold refuses every request
+    # it is checked on; a target state's, only after the side effect (502)
     for s in bm.states:
         check_paths(f"state {s.name}", s.invariant)
+        if not _can_hold(s.invariant):
+            diags.append(f"state {s.name}: invariant can never hold")
     for t in bm.transitions:
         check_paths(f"transition {t.id}", t.guard, t.effect)
-        source = bm.state(t.source)
-        invariant = source.invariant if source else E.LIT_TRUE
+        origin = bm.state(t.source)
+        invariant = origin.invariant if origin else E.LIT_TRUE
         if not _can_hold(E.And(invariant, t.guard if t.guard is not None else E.LIT_TRUE)):
             diags.append(f"transition {t.id}: can never fire from state {t.source}")
     for r in rules:
         check_paths(f"rule {r.id}", r.if_expr, r.then_expr, r.rule_expr)
+        clause, e = ("then", r.then_expr) if r.kind == "conditional" else ("always", r.rule_expr)
+        if not _can_hold(e):
+            diags.append(f"rule {r.id}: {clause} clause can never hold")
     check_paths("bind", *(E.PathRef(b.path) for b in rm.bindings))
 
     # every URI template referenced by a transition or rule must be routable
     if not diags:
         routes = derive_routes(rm)
-        templates = {entry.uri_template for entry in routes.entries}
+        entries = {entry.uri_template: entry for entry in routes.entries}
         for t in bm.transitions:
-            if t.uri_template not in templates:
+            if t.uri_template not in entries:
                 diags.append(
                     f"transition {t.id}: uri {t.uri_template!r} not in the route table"
                 )
         for r in rules:
-            if r.uri_template not in templates:
+            if r.uri_template not in entries:
                 diags.append(f"rule {r.id}: uri {r.uri_template!r} not in the route table")
+
+        # every path a contract reads has a source on its route; the import
+        # is here because contracts are built from this module's types
+        from .contracts import derive_contracts
+
+        for c in derive_contracts(bm, rules):
+            if c.uri_template not in entries:
+                continue
+            sources = plan(rm, routes, entries[c.uri_template], (c.pre, c.post))
+            for p, found in sorted(sources.items(), key=lambda item: str(item[0])):
+                if found.kind == "none":
+                    reads = found.unsourced.kind.value.title()
+                    diags.append(
+                        f"{c.id}: path {p} has no source, so it reads {reads} on every request"
+                    )
 
     # a rule is merged only into the contract of a transition's trigger
     triggers = {(t.http_method, t.uri_template) for t in bm.transitions}

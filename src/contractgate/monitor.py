@@ -1,7 +1,7 @@
-"""Per-request enforcement: resolve the pre-state environment by probing the
-upstream with GETs, check the precondition, snapshot the values it used,
-forward, resolve the post-state environment from the response (and re-probes),
-check the postcondition and produce a verdict.
+"""Per-request enforcement: check the precondition, probing the upstream with
+GETs for the values its verdict needs, snapshot the values it used, forward,
+resolve the post-state environment from the response (and re-probes), check
+the postcondition and produce a verdict.
 
 Undefined values never escape as exceptions; they fold into UNKNOWN and the
 monitor treats UNKNOWN as a violation (fail-closed).
@@ -19,7 +19,7 @@ from . import expr as E
 from .contracts import Check, Contract
 from .httpreply import HOP_BY_HOP, HttpUpstream, UpstreamError, UpstreamResponse
 from .httpreply import parse_json
-from .model import ResourceModel, RouteEntry, RouteTable
+from .model import ResourceModel, RouteEntry, RouteTable, plan, source
 
 _UNSET = object()
 Failed = list[tuple[str, E.TriBool]]  # failing conjuncts' texts and values, in order
@@ -242,18 +242,9 @@ def json_to_value(node: object, attr_type: Optional[str] = None) -> E.Value:
 
 class Resolver:
     """Maps paths to values for one request phase, the post phase being the
-    one with an upstream reply.  A resource attribute is read from one source:
-    the request payload or the validated-token representation for a ``bind``
-    hint, the reply for the addressed resource in the post phase, and
-    otherwise a GET probe of the addressed resource's canonical URI or of
-    another resource's fixed route.  Probes are cached per URI for the phase.
-
-    Each path has one exact JSON location, and a value anywhere else is never
-    read.  Attribute ``d.a`` is ``a`` in the reply's member named ``d``
-    (``{"user": {"id": …}}``), and ``token.token``, named after its own
-    resource, is that member itself.  A ``bind … from token`` path is read
-    under the token probe's ``token`` member, and a ``bind … from request``
-    path from the body's root.  ``request.*`` and ``response.*`` paths are
+    one with an upstream reply.  A resource path is read from the source the
+    monitor's plan decided for it at load (``model.source``).  Probes are
+    cached per URI for the phase.  ``request.*`` and ``response.*`` paths are
     read under their message's one top-level member (``auth`` for a login),
     and are Absent when it has any other shape."""
 
@@ -271,6 +262,7 @@ class Resolver:
         route = monitor.route(ctx)
         self.route_entry = route[0] if route else None
         self.resource = route[1] if route else ctx.uri
+        self.sources = monitor.plan.get(route[0].uri_template, {}) if route else {}
 
     # -- entry point
 
@@ -308,42 +300,24 @@ class Resolver:
         return json_to_value(_member_walk(self.upstream_response.json(), path.segments))
 
     def _resolve_resource(self, path: E.Path) -> E.Value:
-        definition = self.monitor.rm.definition(path.head)
-        if definition is None:
-            return E.INVALID
-        attr_name = path.segments[1] if len(path.segments) > 1 else None
-        attr = definition.attribute(attr_name) if attr_name else None
-        attr_type = attr.type if attr else None
-        json_path = None
-        if attr_name == definition.name:
-            json_path = (attr_name,)
-        elif attr_name is not None:
-            json_path = (definition.name, attr_name)
-
-        binding = self.monitor.bindings.get(path)
-        if binding is not None and binding.source == "request":
-            return json_to_value(json_walk(self.ctx.body, binding.json_path), attr_type)
-        if binding is not None:
-            # token-representation source: validate the caller's token upstream
-            uri, json_path = self._fixed_uri("token"), ("token",) + binding.json_path
-            if uri is None:
-                return E.INVALID
-        elif (
-            self.route_entry is not None
-            and definition.name.lower() == self.route_entry.definition.lower()
-        ):
+        found = self.sources.get(path)
+        if found is None:  # a path no contract or audited invariant reads
+            found = source(self.monitor.rm, self.monitor.routes, path, self.route_entry)
+        kind, json_path = found.kind, found.json_path
+        if kind == "none":
+            return found.unsourced
+        if kind == "request":
+            return json_to_value(json_walk(self.ctx.body, json_path), found.attr_type)
+        uri = found.uri
+        if kind == "addressed":
             resp = self.upstream_response
             # without a representation, re-probe
             if resp is not None and json_path is not None and resp.body:
                 doc = resp.json()
                 if doc is None:
                     return E.INVALID  # unparseable upstream body
-                return json_to_value(json_walk(doc, json_path), attr_type)
+                return json_to_value(json_walk(doc, json_path), found.attr_type)
             uri = self.resource
-        else:
-            uri = self._fixed_uri(definition.name)
-            if uri is None:
-                return E.ABSENT  # identity not determinable from the request
 
         reply = self.probe(uri)
         if reply is None or reply.status not in (200, 404):
@@ -355,13 +329,7 @@ class Resolver:
         doc = reply.json()
         if doc is None:
             return E.INVALID  # unparseable probe body
-        return json_to_value(json_walk(doc, json_path), attr_type)
-
-    def _fixed_uri(self, definition: str) -> Optional[str]:
-        entry = self.monitor.routes.for_definition(definition)
-        if entry is None or "{" in entry.uri_template:
-            return None
-        return entry.uri_template
+        return json_to_value(json_walk(doc, json_path), found.attr_type)
 
     # -- probes
 
@@ -426,7 +394,6 @@ class Monitor:
         state_invariants: Optional[list[tuple[str, E.Expression]]] = None,
     ):
         self.rm = rm
-        self.bindings = {b.path: b for b in reversed(rm.bindings)}  # first wins
         self.routes = routes
         self.contracts = {(c.method, c.uri_template): c for c in contracts}
         self.upstream = upstream
@@ -435,16 +402,46 @@ class Monitor:
         self.audit_get = audit_get
         self.state_invariants = state_invariants or []
         self.variables = MonitorVariables()
+        # The probe plan: per route template, the source of every resource
+        # path a contract on it, or a GET audit on any route, can read.
+        audited = tuple(inv for _, inv in self.state_invariants) if audit_get else ()
+        self.plan = {e.uri_template: plan(rm, routes, e, audited) for e in routes.entries}
+        entries = {e.uri_template: e for e in routes.entries}
+        for c in contracts:
+            sources = plan(rm, routes, entries.get(c.uri_template), (c.pre, c.post))
+            self.plan.setdefault(c.uri_template, {}).update(sources)
+        self._pre_orders = {c: self._pre_order(c) for c in contracts}
+
+    def pre_probes(self, contract: Contract) -> tuple[frozenset[str], ...]:
+        """The probes each of ``contract``'s pre checks needs, in text order,
+        by the plan: ``self.*``, ``request.*`` and ``clockTime`` need none."""
+        sources = self.plan.get(contract.uri_template, {})
+        return tuple(
+            frozenset(found.uri for p in E.free_paths(check.expr)
+                      if (found := sources.get(p)) is not None and found.uri is not None)
+            for check in contract.pre_checks
+        )
+
+    def _pre_order(self, contract: Contract) -> tuple:
+        """The probes each pre check needs, and the order check_precondition
+        evaluates the checks in: each ``(index, probes sent once it is
+        evaluated)``.  The next check is the one needing the fewest probes not
+        yet sent, the first in text order among equals."""
+        need = self.pre_probes(contract)
+        sent, order, pending = frozenset(), [], list(range(len(need)))
+        while pending:
+            i = min(pending, key=lambda i: len(need[i] - sent))
+            pending.remove(i)
+            sent |= need[i]
+            order.append((i, sent))
+        return need, tuple(order)
 
     # -- environment construction (exposed for direct testing)
 
-    def resolve_pre_env(
-        self, ctx: RequestContext, contract: Contract
-    ) -> tuple[E.Environment, Snapshot]:
-        resolver = Resolver(self, ctx)
-        env = E.Environment(resolver, now=ctx.arrival_time)
-        bindings = {p: env.lookup(p) for p in contract.snapshot_paths}
-        return env, Snapshot(bindings=bindings, captured_at=ctx.arrival_time)
+    def resolve_pre_env(self, ctx: RequestContext, contract: Contract) -> E.Environment:
+        """The pre-state environment; each path is resolved, and probed for,
+        when the precondition first reads it."""
+        return E.Environment(Resolver(self, ctx), now=ctx.arrival_time)
 
     def resolve_post_env(
         self,
@@ -459,7 +456,21 @@ class Monitor:
     # -- checks
 
     def check_precondition(self, contract: Contract, env: E.Environment) -> Failed:
-        return _failed_conjuncts(contract.pre_checks, env)
+        """The pre checks that are not TRUE, in text order; empty means pass.
+        The checks are evaluated in ``_pre_order``.  Once one is not TRUE the
+        precondition is refused, so no further probe is sent: only the checks
+        the probes already sent can decide are evaluated too."""
+        need, order = self._pre_orders[contract]
+        checks = contract.pre_checks
+        values = {}
+        for k, (i, sent) in enumerate(order):
+            values[i] = E.evaluate(checks[i].expr, env)
+            if values[i] is not E.TRUE:
+                for j, _ in order[k + 1:]:
+                    if need[j] <= sent:
+                        values[j] = E.evaluate(checks[j].expr, env)
+                break
+        return [(checks[i].text, v) for i, v in sorted(values.items()) if v is not E.TRUE]
 
     def check_postcondition(self, contract: Contract, env: E.Environment) -> Failed:
         return _failed_conjuncts(contract.post_checks, env)
@@ -499,14 +510,19 @@ class Monitor:
             return _error(405, "unmodeled method",
                           [("Allow", ", ".join(sorted(entry.allowed_methods)))])
 
-        env, snapshot = self.resolve_pre_env(ctx, contract)
+        env = self.resolve_pre_env(ctx, contract)
         failed = self.check_precondition(contract, env)
         resolver: Resolver = env.resolver  # type: ignore[assignment]
 
-        if not failed and not self.variables.acquire(resolver.resource):
-            # lost the test-and-set race: another side-effect call is in
-            # flight on this resource
-            failed = [("self.processing=False", E.FALSE)]
+        if not failed:
+            # every pre check was evaluated, so the capture reads values
+            # already resolved, from before this call takes the flag
+            bindings = {p: env.lookup(p) for p in contract.snapshot_paths}
+            snapshot = Snapshot(bindings=bindings, captured_at=ctx.arrival_time)
+            if not self.variables.acquire(resolver.resource):
+                # lost the test-and-set race: another side-effect call is in
+                # flight on this resource
+                failed = [("self.processing=False", E.FALSE)]
 
         if failed:
             verdict = Verdict(

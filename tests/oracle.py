@@ -220,7 +220,8 @@ def gen_expression_text(rng: random.Random, depth: int = 3) -> str:
 
 # ---------------------------------------------------------------------------
 # Reference diagnosis: the monitor's check loops as they were before each
-# contract was lowered once into checks
+# contract was lowered once into checks, and the precondition's rule for
+# which conjuncts a refusal names
 
 
 def check_precondition(contract, env: E.Environment) -> list:
@@ -230,6 +231,28 @@ def check_precondition(contract, env: E.Environment) -> list:
         if value is not E.TRUE:
             failed.append((E.to_text(conjunct), value))
     return failed
+
+
+def check_precondition_probing(contract, env: E.Environment, probes) -> list:
+    """The precondition's failed conjuncts when no probe is sent once one
+    has failed, replayed over the full evaluation.  ``probes`` holds the
+    probes each conjunct needs, in text order.  The conjuncts are taken
+    cheapest first: fewest probes not yet sent, text order among equals.
+    At the first one that is not TRUE, every conjunct whose probes have all
+    been sent is taken too, and the rest are not.  The taken conjuncts that
+    are not TRUE are reported in text order."""
+    full = [(E.to_text(c), E.evaluate(c, env)) for c in E.conjuncts(contract.pre)]
+    sent, taken, pending = set(), set(), list(range(len(full)))
+    while pending:
+        cost = {i: len(probes[i] - sent) for i in pending}
+        first = min(pending, key=lambda i: (cost[i], i))
+        pending.remove(first)
+        taken.add(first)
+        sent |= probes[first]
+        if full[first][1] is not E.TRUE:
+            taken |= {i for i in pending if probes[i] <= sent}
+            break
+    return [full[i] for i in sorted(taken) if full[i][1] is not E.TRUE]
 
 
 def check_postcondition(contract, env: E.Environment) -> list:

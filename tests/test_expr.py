@@ -116,6 +116,14 @@ class TestParse:
             E.parse_expression("user.é = 'x'")
         assert info.value.offset == 5
 
+    @pytest.mark.parametrize("src,offset", [("not١", 3), ("x١ = 1", 1), ("x = y٢", 5)])
+    def test_digit_run_touching_a_name_is_a_syntax_error(self, src, offset):
+        """A digit run that directly follows a name character is not an
+        integer: ``not١`` is not ``not 1``."""
+        with pytest.raises(E.ExprSyntaxError) as info:
+            E.parse_expression(src)
+        assert info.value.offset == offset
+
     def test_decimal_digits_of_any_script_are_an_integer(self):
         assert E.parse_expression("x = ١٢") == E.Compare(
             "=", E.PathRef(E.make_path(["x"])), E.Literal(12)

@@ -294,6 +294,64 @@ class TestValidate:
             "transition t3: can never fire from state Token_Issued"
         ]
 
+    def test_state_invariant_that_can_never_hold(self, fixture_document):
+        """As t3's target state, User_Deleted's invariant is the consequent
+        of its postcondition: every admin DELETE would be performed, then
+        answered 502."""
+        invariant = b"state User_Deleted: token.token->size()=1 and user.id->size()=0"
+        doc = fixture_document.replace(
+            invariant, b"state User_Deleted: user.id->size()=0 and not user.id->size()=0"
+        )
+        assert doc != fixture_document
+        assert validate_model(*load_model(doc)) == [
+            "state User_Deleted: invariant can never hold"
+        ]
+
+    @pytest.mark.parametrize("old,clause", [
+        ("then token.token->size()=1 and token.catalog->size()=1",
+         "then token.token->size()=1 and not token.token->size()=1"),
+        ("if request.scope->size()=1 and request.scope <> 'unscope' and "
+         "not request.scope.oclIsInvalid() then token.token->size()=1 and "
+         "token.catalog->size()=1",
+         "always token.catalog->size()=1 and False"),
+    ])
+    def test_rule_clause_that_can_never_hold(self, fixture_document, old, clause):
+        doc = fixture_document.replace(old.encode(), clause.encode())
+        assert doc != fixture_document
+        kind = clause.split()[0]
+        assert validate_model(*load_model(doc)) == [
+            f"rule auth_scoped: {kind} clause can never hold"
+        ]
+
+    def test_contract_path_with_no_source(self, fixture_document):
+        """``project`` is neither the addressed resource of a DELETE on a
+        user nor at a fixed route, so its path reads Absent on every
+        request: the guard would refuse every admin DELETE."""
+        guard = b"guard: user.id->size()=1 actor"
+        doc = fixture_document.replace(
+            guard, b"guard: user.id->size()=1 and project.name = 'demo' actor"
+        )
+        assert doc != fixture_document
+        assert validate_model(*load_model(doc)) == [
+            "DELETE /v3/users/{user_id}: path project.name has no source, "
+            "so it reads Absent on every request"
+        ]
+
+    def test_token_bind_with_no_token_route_has_no_source(self):
+        doc = MINIMAL + (
+            "resource collection_things\nresource thing\n  attr id: string id\n"
+            "  attr role: string\n"
+            "assoc Root -> collection_things as things\n"
+            "assoc collection_things -> thing as item\n"
+            "bind thing.role from token roles.0.name\n"
+            "state A: True\n"
+            "transition t1: A -> A on DELETE /things/{thing_id} guard: thing.role = 'admin'\n"
+        )
+        assert validate_model(*load_model(doc)) == [
+            "DELETE /things/{thing_id}: path thing.role has no source, "
+            "so it reads Invalid on every request"
+        ]
+
     @pytest.mark.parametrize("state,guard,fires", [
         ("self.a", "not self.a", False),  # the invariant takes part
         ("True", "False", False),
@@ -308,6 +366,8 @@ class TestValidate:
         clause = f" guard: {guard}" if guard else ""
         doc = MINIMAL + f"state A: {state}\ntransition t1: A -> A on POST /{clause}\n"
         expected = [] if fires else ["transition t1: can never fire from state A"]
+        if state == "False":
+            expected.insert(0, "state A: invariant can never hold")
         assert validate_model(*load_model(doc)) == expected
 
     @pytest.mark.parametrize("atoms", [MAX_GUARD_ATOMS, MAX_GUARD_ATOMS + 1])
@@ -321,18 +381,26 @@ class TestValidate:
     @given(st.integers(0, 2**32))
     def test_firing_diagnostic_matches_k3_oracle(self, seed):
         """The diagnostic is given exactly when no three-valued assignment
-        of the atoms makes the source invariant and the guard both TRUE."""
+        of the atoms makes the source invariant and the guard both TRUE, and
+        the state's own diagnostic when none makes its invariant TRUE."""
         rng = random.Random(seed)
         atoms = [E.make_path(["self", name]) for name in "abc"]
         invariant, guard = gen_boolean_expr(rng, atoms), gen_boolean_expr(rng, atoms)
         transition = f"transition t1: A -> A on POST / guard: {E.to_text(guard)}"
         doc = MINIMAL + f"state A: {E.to_text(invariant)}\n{transition}\n"
-        never = all(
-            oracle_eval(E.And(invariant, guard), dict(zip(atoms, values))) != T
-            for values in itertools.product("TFU", repeat=len(atoms))
-        )
+
+        def never(e):
+            return all(
+                oracle_eval(e, dict(zip(atoms, values))) != T
+                for values in itertools.product("TFU", repeat=len(atoms))
+            )
+
         diags = validate_model(*load_model(doc))
-        assert diags == (["transition t1: can never fire from state A"] if never else [])
+        assert diags == (
+            (["state A: invariant can never hold"] if never(invariant) else [])
+            + (["transition t1: can never fire from state A"]
+               if never(E.And(invariant, guard)) else [])
+        )
 
     def test_unroutable_transition_uri(self):
         doc = MINIMAL + (

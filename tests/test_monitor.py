@@ -25,7 +25,7 @@ from contractgate.httpreply import (
     UpstreamError,
     UpstreamResponse,
 )
-from contractgate.model import RouteTable, derive_routes
+from contractgate.model import ResourceModel, RouteTable, derive_routes
 from contractgate.monitor import (
     Monitor,
     MonitorVariables,
@@ -249,7 +249,9 @@ def _values(path: E.Path):
 
 class TestLoweredDiagnosis:
     """The lowered checks name the same failing conjuncts, with the same
-    values and in the same order, as the reference check loops."""
+    values and in the same order, as the reference check loops: the
+    postcondition all of them, the precondition those its probing rule
+    evaluates, with the same verdict as the full evaluation's."""
 
     def test_same_failed_conjuncts_as_the_reference(self, loaded_model, fixture_contracts):
         rm, bm, _ = loaded_model
@@ -275,7 +277,9 @@ class TestLoweredDiagnosis:
 
             for contract in contracts:
                 got = monitor.check_precondition(contract, env("pre"))
-                assert got == oracle.check_precondition(contract, env("pre"))
+                probes = monitor.pre_probes(contract)
+                assert got == oracle.check_precondition_probing(contract, env("pre"), probes)
+                assert bool(got) == bool(oracle.check_precondition(contract, env("pre")))
                 seen["fail" if got else "pass"] += 1
                 got = monitor.check_postcondition(contract, env("post"))
                 assert got == oracle.check_postcondition(contract, env("post"))
@@ -308,6 +312,59 @@ class TestRouteMatchedOnce:
         got, _, _ = harness.call("DELETE", target, headers={"X-Auth-Token": token})
         assert got == status
         assert calls == [target]
+
+
+class TestProbePlan:
+    """Each path's source is decided when the monitor is built, and a
+    refused precondition sends no probe after the check that refused it:
+    the token probe alone decides a non-admin DELETE."""
+
+    def test_no_source_is_decided_on_the_request_path(self, harness_factory, monkeypatch):
+        h = harness_factory(audit_get=True)
+        admin = h.authenticate("admin", "secret")
+        alice = h.authenticate("alice", "wonder")
+        decided = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args):
+                decided.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counted(monitor_module, "source")
+        counted(ResourceModel, "definition")
+        counted(RouteTable, "for_definition")
+        for method, uri, body, token, status in [
+            ("GET", "/v3/users/u-alice", None, admin, 200),
+            ("DELETE", "/v3/users/u-admin", None, alice, 412),
+            ("DELETE", "/v3/users/u-ghost", None, admin, 412),
+            ("DELETE", "/v3/users/u-alice", None, admin, 204),
+            ("POST", "/v3/auth/tokens", password_body("admin", "wrong"), None, 502),
+            ("POST", "/v3/auth/tokens", token_body(admin), None, 201),
+        ]:
+            headers = {"X-Auth-Token": token} if token else None
+            assert h.call(method, uri, body, headers=headers)[0] == status
+        assert decided == []
+
+    @pytest.mark.parametrize("user,password,target,status,probes", [
+        ("alice", "wonder", "/v3/users/u-admin", 412, ["/v3/auth/tokens"]),
+        ("admin", "secret", "/v3/users/u-alice", 204,
+         ["/v3/auth/tokens", "/v3/users/u-alice"]),
+    ])
+    def test_delete_sends_the_probes_its_verdict_needs(
+        self, harness, user, password, target, status, probes
+    ):
+        token = harness.authenticate(user, password)
+        harness.call_mock("DELETE", "/__log")
+        got, _, _ = harness.call("DELETE", target, headers={"X-Auth-Token": token})
+        assert got == status
+        _, _, log = harness.call_mock("GET", "/__log")
+        sent = [(r["method"], r["path"]) for r in json.loads(log)["requests"]]
+        pre = sent[:sent.index(("DELETE", target))] if status == 204 else sent
+        assert pre == [("GET", uri) for uri in probes]
 
 
 class TestCanonicalResource:
@@ -653,9 +710,8 @@ class TestExactLocations:
         assert json.loads(body)["failed"] == [
             {"expr": "user.role='admin'", "value": "unknown"}
         ]
-        assert sorted(upstream.requests) == [
-            ("GET", "/v3/auth/tokens"), ("GET", "/v3/users/u-x")
-        ]
+        # the token probe decides the refusal: the user is not probed
+        assert upstream.requests == [("GET", "/v3/auth/tokens")]
 
     @pytest.mark.parametrize("source,location,min_depth", [
         ("user.role", ("token", "roles", "0", "name"), 0),  # token probe, by its bind
@@ -686,9 +742,22 @@ class TestExactLocations:
 class TestRequestDeadline:
     def test_stalled_probes_share_one_deadline(self, raw_upstream, raw_gateway):
         """Each probe gets the probe timeout or the time left, whichever is
-        less: two stalled probes end after the 0.5 s upstream timeout, not
-        after two 0.4 s probe timeouts."""
-        upstream = raw_upstream(lambda method, target: None)
+        less: a token probe answered after 0.3 s and a stalled user probe end
+        at the 0.5 s upstream timeout, not after 0.3 s and a 0.4 s probe
+        timeout."""
+        expires = datetime.now(timezone.utc) + timedelta(hours=1)
+        admin = _json_reply({"token": {
+            "expires_at": expires.strftime("%Y-%m-%dT%H:%M:%S.%fZ"),
+            "roles": [{"name": "admin"}], "user": {"name": "admin"},
+        }})
+
+        def respond(method, target):
+            if target == "/v3/auth/tokens":
+                time.sleep(0.3)
+                return admin
+            return None  # the user probe stalls
+
+        upstream = raw_upstream(respond)
         monitor = raw_gateway(
             upstream.url, probe_timeout_ms=400, upstream_timeout_ms=500
         ).monitor
@@ -697,7 +766,10 @@ class TestRequestDeadline:
         result = monitor.handle(ctx, b"")
         elapsed = time.monotonic() - started
         assert result.status == 412
-        assert [m for m, _ in upstream.requests] == ["GET", "GET"]
+        assert json.loads(result.body)["failed"] == [
+            {"expr": "user.id->size()=1", "value": "unknown"}
+        ]
+        assert upstream.requests == [("GET", "/v3/auth/tokens"), ("GET", "/v3/users/u-alice")]
         assert 0.45 <= elapsed < 0.7
 
     def test_no_time_left_sends_nothing(self, raw_upstream):
